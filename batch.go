@@ -8,8 +8,9 @@ import (
 )
 
 // SearchBatch answers many queries, distributing them across worker
-// goroutines (one reusable Searcher each). Results are returned in query
-// order. workers <= 0 uses runtime.GOMAXPROCS(0).
+// goroutines (one Searcher each, taken from and returned to the index's
+// searcher pool). Results are returned in query order. workers <= 0 uses
+// runtime.GOMAXPROCS(0).
 //
 // A k < 1 is rejected up front with a nil result slice. Per-query faults
 // (a query with the wrong dimensionality, execution errors) do not abort
@@ -39,7 +40,8 @@ func (ix *Index) SearchBatch(queries [][]float32, k int, opt SearchOptions, work
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := ix.NewSearcher()
+			s := &Searcher{inner: ix.inner.AcquireSearcher()}
+			defer ix.inner.ReleaseSearcher(s.inner)
 			for qi := range next {
 				res, err := s.Search(queries[qi], k, opt)
 				if err != nil {

@@ -27,6 +27,10 @@ func (ix *Index) Add(vectors *vec.Matrix) (firstID int, err error) {
 	if vectors.Cols != ix.queryDim {
 		return 0, fmt.Errorf("core: Add dimension %d, index dimension %d", vectors.Cols, ix.queryDim)
 	}
+	if err := CheckFinite("core: Add", vectors.Data, vectors.Cols); err != nil {
+		ix.metrics.RecordError()
+		return 0, err
+	}
 	z, err := ix.model.Project(vectors)
 	if err != nil {
 		return 0, err
@@ -74,13 +78,7 @@ func (ix *Index) Add(vectors *vec.Matrix) (firstID int, err error) {
 		}
 		// Assign to the nearest TI centroid in prefix space.
 		decodePrefix(ix.cb, code, ix.ti.prefixSubspaces, prefixBuf)
-		best, bestD := 0, vec.SquaredL2(prefixBuf, ix.ti.centroids.Row(0))
-		for c := 1; c < ix.ti.centroids.Rows; c++ {
-			if d := vec.SquaredL2(prefixBuf, ix.ti.centroids.Row(c)); d < bestD {
-				bestD = d
-				best = c
-			}
-		}
+		best, bestD := vec.Nearest(prefixBuf, ix.ti.centroids)
 		entry := tiEntry{id: id, dist: float32(math.Sqrt(float64(bestD)))}
 		members := ix.ti.clusters[best]
 		pos := sort.Search(len(members), func(j int) bool {

@@ -288,7 +288,7 @@ func (fs *fastStore) fillFloatLUT(qz []float32, buf []float32) []float32 {
 	}
 	buf = buf[:total]
 	for s := 0; s < fs.m; s++ {
-		quantizer.FillTable(fs.cb.Sub.Of(qz, s), fs.books[s], buf[fs.offsets[s]:fs.offsets[s+1]])
+		vec.Distances(fs.cb.Sub.Of(qz, s), fs.books[s], buf[fs.offsets[s]:fs.offsets[s+1]])
 	}
 	return buf
 }
@@ -855,8 +855,8 @@ type pushCand struct {
 
 // rerankFast rebuilds the top-k heap with exact float distances for the
 // candidates the integer scan retained. The per-subspace arithmetic
-// matches FillTable (SquaredL2 association — the 4-dimensional case is
-// inlined with fillLUT4's exact operation order) and the subspace-order
+// matches vec.Distances (SquaredL2 association — the 4-dimensional case is
+// inlined with the same operation order) and the subspace-order
 // summation of the scan kernels, so the reported candidates carry
 // bit-identical distances to the exact kernels — only the candidate SET
 // is decided by the integer metric, and within it the exact distances
@@ -891,7 +891,7 @@ func (s *Searcher) rerankFast(qz []float32) {
 	s.topk.Reset()
 	if fs.rerDim4 {
 		// Uniform 4-dimensional subspaces (the paper's bench geometry):
-		// one flat array walk per candidate, fillLUT4's operation order.
+		// one flat array walk per candidate, vec.Distances' operation order.
 		// Two subspaces per step: the pair shares one query-slice load and
 		// halves the per-subspace slice/bounds bookkeeping, while the two
 		// 4-term reductions are mutually independent and overlap in

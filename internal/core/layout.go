@@ -349,6 +349,7 @@ func (s *Searcher) scanTIEABlocked(qz []float32, visitFrac float64, useSub int) 
 	if rec.Active() {
 		rec.Add(trace.Span{Name: trace.SpanClusterRank, Start: rankStart, Dur: rec.Clock() - rankStart, Count: visit})
 	}
+	s.fillLUT(qz, false, visit)
 	s.stats.ClustersVisited = visit
 	// Aggregate EA-resume span: most survivors abandon straight off the
 	// precomputed first chunk, so the (rare) resume stretches are summed

@@ -69,8 +69,10 @@ func (ix *Index) Search(q []float32, k int) ([]vec.Neighbor, error) {
 // SearchWith returns the approximate k nearest neighbors of q under the
 // given options.
 func (ix *Index) SearchWith(q []float32, k int, opt SearchOptions) ([]vec.Neighbor, error) {
-	s := ix.newSearcher()
-	return s.Search(q, k, opt)
+	s := ix.AcquireSearcher()
+	res, err := s.Search(q, k, opt)
+	ix.ReleaseSearcher(s)
+	return res, err
 }
 
 // SearchStats instruments one query: how much work each pruning layer
@@ -132,10 +134,19 @@ func (st *SearchStats) recordCopy() metrics.SearchRecord {
 // allocate per query. Not safe for concurrent use; create one per
 // goroutine via NewSearcher.
 type Searcher struct {
-	ix   *Index
-	lut  *quantizer.LUT
-	flut []float32 // float tables over the fast store's scan dictionaries
-	ilut intLUT    // uint8 quantization of flut; filled only for fast scans
+	ix *Index
+	// lut holds the exact lookup tables. The exact TI+EA kernels fill
+	// only the entries the visited clusters' codes can read (fillVisited);
+	// the rest keep stale values from earlier queries and are never read.
+	lut *quantizer.LUT
+	// codeBuf gathers one subspace's codes of the visited row-major
+	// members for fillVisited.
+	codeBuf []uint16
+	// fullLUT forces the whole-table fill on every query — the reference
+	// path the visited fill is tested against.
+	fullLUT bool
+	flut    []float32 // float tables over the fast store's scan dictionaries
+	ilut    intLUT    // uint8 quantization of flut; filled only for fast scans
 	// pushed records the candidates the integer scan accepted into the
 	// top-k — id plus the dequantized distance it was pushed with — the
 	// candidate set rerankFast rescores with exact float arithmetic. The
@@ -146,9 +157,11 @@ type Searcher struct {
 	clustIdx []int
 	topk     *vec.TopK
 	stats    SearchStats
-	// rec collects per-query spans when the index had a tracer attached at
-	// Searcher creation (nil otherwise: every Recorder method is nil-safe).
+	// rec collects per-query spans for tr, the tracer the index had
+	// attached at Searcher creation or pool checkout (both nil otherwise:
+	// every Recorder method is nil-safe).
 	rec *trace.Recorder
+	tr  *trace.Tracer
 	// projDur backdates the trace origin by the query-projection time,
 	// which happens before run opens the traced window. Consumed by run.
 	projDur time.Duration
@@ -171,13 +184,41 @@ func (s *Searcher) LastStats() SearchStats { return s.stats }
 func (ix *Index) NewSearcher() *Searcher { return ix.newSearcher() }
 
 func (ix *Index) newSearcher() *Searcher {
-	return &Searcher{ix: ix, rec: ix.tracer.Load().NewRecorder()}
+	s := &Searcher{ix: ix}
+	s.AttachTracer(ix.tracer.Load())
+	return s
+}
+
+// AcquireSearcher returns a Searcher from the index's pool (a new one when
+// the pool is empty), re-pointed at the index's current tracer so
+// EnableTracing and DisableTracing reach pooled Searchers too. Hand it
+// back with ReleaseSearcher; its tables and scratch then serve the next
+// query instead of being reallocated.
+func (ix *Index) AcquireSearcher() *Searcher {
+	s, _ := ix.searchers.Get().(*Searcher)
+	if s == nil {
+		return ix.newSearcher()
+	}
+	if t := ix.tracer.Load(); t != s.tr {
+		s.AttachTracer(t)
+	}
+	return s
+}
+
+// ReleaseSearcher returns s (from AcquireSearcher) to the pool. s, and the
+// attribution slices of its LastStats, must not be used afterwards.
+func (ix *Index) ReleaseSearcher(s *Searcher) {
+	s.rawQ = nil
+	ix.searchers.Put(s)
 }
 
 // AttachTracer re-points this Searcher at t (nil detaches). Searchers pick
 // up the index tracer at creation; long-lived ones built before
 // EnableTracing use this to opt in without being recreated.
-func (s *Searcher) AttachTracer(t *trace.Tracer) { s.rec = t.NewRecorder() }
+func (s *Searcher) AttachTracer(t *trace.Tracer) {
+	s.tr = t
+	s.rec = t.NewRecorder()
+}
 
 // Search runs one query through the reusable context. q is the RAW
 // (unprojected) query.
@@ -261,24 +302,21 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	// original-id scan order over the canonical codes — both fall back to
 	// the exact kernels.
 	fast := ix.fast != nil && useSub == mSub && mode != ModeEA
-	// Build or refill the lookup tables (Algorithm 4 lines 5-13). The fast
-	// path fills the (much smaller) tables over the integer store's scan
-	// dictionaries and quantizes those; the full-dictionary LUT is neither
-	// filled nor read — the exact re-rank goes back to the codebooks.
-	if pc != nil {
-		pprof.SetGoroutineLabels(pc.lut)
+	// Fill the lookup tables (Algorithm 4 lines 5-13). The fast path fills
+	// the (much smaller) tables over the integer store's scan dictionaries
+	// and quantizes those; the full-dictionary LUT is neither filled nor
+	// read — the exact re-rank goes back to the codebooks. The exact TI+EA
+	// kernels fill after ranking the clusters, when they know which codes
+	// the scan can reach.
+	if !fast && s.lut == nil {
+		s.lut = ix.cb.NewLUT()
 	}
-	lutStart := rec.Clock()
-	if fast {
-		s.flut = ix.fast.fillFloatLUT(qz, s.flut)
-	} else if s.lut == nil {
-		s.lut = ix.cb.BuildLUT(qz)
-	} else {
-		ix.cb.FillLUT(qz, s.lut)
+	if fast || mode != ModeTIEA {
+		s.fillLUT(qz, fast, -1)
+	} else if pc != nil {
+		pprof.SetGoroutineLabels(pc.scan)
 	}
-	if rec.Active() {
-		rec.Add(trace.Span{Name: trace.SpanLUTFill, Start: lutStart, Dur: rec.Clock() - lutStart})
-	}
+	s.pushed = s.pushed[:0]
 	s.topk = vec.NewTopK(k)
 	if opt.InitialThreshold > 0 {
 		s.topk.SetBound(opt.InitialThreshold)
@@ -297,17 +335,6 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 		}
 		s.stats.AbandonDepths = s.depthScratch
 		s.stats.TISkipsByRank = s.rankScratch
-	}
-	if fast {
-		quantStart := rec.Clock()
-		s.ilut.quantize(s.flut, ix.fast.offsets, mSub)
-		s.pushed = s.pushed[:0]
-		if rec.Active() {
-			rec.Add(trace.Span{Name: trace.SpanLUTQuant, Start: quantStart, Dur: rec.Clock() - quantStart})
-		}
-	}
-	if pc != nil {
-		pprof.SetGoroutineLabels(pc.scan)
 	}
 	scanStart := rec.Clock()
 	switch mode {
@@ -379,6 +406,95 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 		pprof.SetGoroutineLabels(pc.clear)
 	}
 	return res
+}
+
+// fillLUT fills this query's lookup tables under the lut_fill pprof label
+// and trace span, then switches the label to scan. fast fills the integer
+// store's float tables and quantizes them (its own lut_quant span).
+// Otherwise visit < 0 fills the exact LUT whole, and visit >= 0 — the
+// exact TI+EA kernels, right after cluster ranking — fills only what the
+// codes of the first visit clusters of s.clustIdx can read (fillVisited).
+func (s *Searcher) fillLUT(qz []float32, fast bool, visit int) {
+	ix, rec := s.ix, s.rec
+	pc := ix.profCtx.Load()
+	if pc != nil {
+		pprof.SetGoroutineLabels(pc.lut)
+	}
+	start := rec.Clock()
+	switch {
+	case fast:
+		s.flut = ix.fast.fillFloatLUT(qz, s.flut)
+	case visit < 0 || s.fullLUT:
+		ix.cb.FillLUT(qz, s.lut)
+	default:
+		s.fillVisited(qz, visit)
+	}
+	if rec.Active() {
+		rec.Add(trace.Span{Name: trace.SpanLUTFill, Start: start, Dur: rec.Clock() - start})
+	}
+	if fast {
+		quantStart := rec.Clock()
+		s.ilut.quantize(s.flut, ix.fast.offsets, ix.cb.Sub.M())
+		if rec.Active() {
+			rec.Add(trace.Span{Name: trace.SpanLUTQuant, Start: quantStart, Dur: rec.Clock() - quantStart})
+		}
+	}
+	if pc != nil {
+		pprof.SetGoroutineLabels(pc.scan)
+	}
+}
+
+// fillVisited fills the exact LUT for a TI+EA scan of the first visit
+// clusters of s.clustIdx. With n codes in those clusters, a subspace
+// table of at most n entries is filled whole; a larger one gets only the
+// entries those codes reference, read from the scan layout itself (the
+// blocked groups, or the canonical rows). Repeated codes recompute the
+// same value — cheaper than tracking which entries are done, whose branch
+// mispredicts. Each entry the scan reads is computed exactly as the whole
+// fill computes it, and entries no visited code references are left stale:
+// the scan never reads them, because every code it reads (TI survivors,
+// and the whole-block first-chunk partials) lies in a visited cluster.
+func (s *Searcher) fillVisited(qz []float32, visit int) {
+	ix := s.ix
+	cb, bs := ix.cb, ix.blocked
+	clusters := ix.ti.clusters
+	visited := s.clustIdx[:visit]
+	n := 0
+	for _, c := range visited {
+		n += len(clusters[c])
+	}
+	for sub := 0; sub < cb.Sub.M(); sub++ {
+		qs, book, table := cb.Sub.Of(qz, sub), cb.Books[sub], s.lut.Table(sub)
+		if book.Rows <= n {
+			vec.Distances(qs, book, table)
+			continue
+		}
+		if bs == nil {
+			codes := ix.codes
+			buf := s.codeBuf[:0]
+			for _, c := range visited {
+				for _, e := range clusters[c] {
+					buf = append(buf, codes.Data[e.id*codes.M+sub])
+				}
+			}
+			vec.DistancesAt(qs, book, buf, table)
+			s.codeBuf = buf
+			continue
+		}
+		for _, c := range visited {
+			end := int(bs.start[c+1])
+			for q := int(bs.start[c]); q < end; q += blockLanes {
+				cnt := min(end-q, blockLanes)
+				if bs.narrow[sub] {
+					o := q*bs.mN + bs.ord[sub]*cnt
+					vec.DistancesAt(qs, book, bs.data8[o:o+cnt], table)
+				} else {
+					o := q*bs.mW + bs.ord[sub]*cnt
+					vec.DistancesAt(qs, book, bs.data16[o:o+cnt], table)
+				}
+			}
+		}
+	}
 }
 
 // shadowRecallSample audits one answer against an exact scan of the
@@ -685,6 +801,7 @@ func (s *Searcher) scanTIEA(qz []float32, visitFrac float64, useSub int) {
 	if rec.Active() {
 		rec.Add(trace.Span{Name: trace.SpanClusterRank, Start: rankStart, Dur: rec.Clock() - rankStart, Count: visit})
 	}
+	s.fillLUT(qz, false, visit)
 	s.stats.ClustersVisited = visit
 	for v := 0; v < visit; v++ {
 		c := s.clustIdx[v]

@@ -166,9 +166,10 @@ type Index struct {
 	queryDim int
 	metrics  *metrics.IndexMetrics
 	report   metrics.BuildReport
-	// tracer, when set, hands every newly created Searcher a span
-	// recorder; atomic so EnableTracing is safe while queries are in
-	// flight (in-flight Searchers keep their current recorder).
+	// tracer, when set, hands every newly created or pool-checked-out
+	// Searcher a span recorder; atomic so EnableTracing is safe while
+	// queries are in flight (in-flight Searchers keep their current
+	// recorder).
 	tracer atomic.Pointer[trace.Tracer]
 	// capture, when set, receives a sampled fraction of queries (vector,
 	// options, results, latency) for workload replay; atomic for the same
@@ -205,6 +206,10 @@ type Index struct {
 	// profCtx holds precomputed pprof label sets (nil unless
 	// Config.ProfileLabels; see SetProfileLabel).
 	profCtx atomic.Pointer[profileCtxs]
+	// searchers pools *Searcher for SearchWith, batch workers and shard
+	// scatter (AcquireSearcher/ReleaseSearcher), so the lookup tables and
+	// scratch are allocated once per pooled Searcher, not per query.
+	searchers sync.Pool
 }
 
 // Build trains a VAQ index: PCA (Algorithm 1), subspace construction and
@@ -317,18 +322,18 @@ func (ix *Index) Metrics() *metrics.IndexMetrics { return ix.metrics }
 func (ix *Index) BuildReport() metrics.BuildReport { return ix.report }
 
 // EnableTracing installs a fresh per-query span tracer built from cfg and
-// returns it. Searchers created afterwards (including the throwaway ones
-// behind Index.Search/SearchWith) record a QueryTrace per query; Searchers
-// created earlier keep running untraced. Safe to call while queries are in
-// flight.
+// returns it. Searchers created afterwards, and pooled ones at their next
+// checkout (AcquireSearcher, behind Index.Search/SearchWith), record a
+// QueryTrace per query; Searchers created earlier with NewSearcher keep
+// running untraced. Safe to call while queries are in flight.
 func (ix *Index) EnableTracing(cfg trace.Config) *trace.Tracer {
 	t := trace.New(cfg)
 	ix.tracer.Store(t)
 	return t
 }
 
-// DisableTracing detaches the index tracer; existing Searchers keep their
-// recorders until replaced.
+// DisableTracing detaches the index tracer; pooled Searchers drop their
+// recorders at their next checkout, others keep them until replaced.
 func (ix *Index) DisableTracing() { ix.tracer.Store(nil) }
 
 // Tracer returns the active tracer, or nil when tracing is disabled.
@@ -349,11 +354,32 @@ func (ix *Index) RecallSampling() (everyNth uint64) {
 	return ix.recallEvery
 }
 
-// ProjectQuery rotates a raw query into the index's PCA space. Exposed for
+// ErrNonFinite rejects a query or added vector holding a NaN or ±Inf
+// coordinate: the distances it would produce are meaningless.
+var ErrNonFinite = errors.New("non-finite coordinate (NaN or Inf)")
+
+// CheckFinite returns an ErrNonFinite error naming the first NaN or ±Inf
+// element of data — row-major vectors of cols coordinates — or nil.
+func CheckFinite(what string, data []float32, cols int) error {
+	i := vec.NonFinite(data)
+	if i < 0 {
+		return nil
+	}
+	if len(data) == cols {
+		return fmt.Errorf("%s coordinate %d is %v: %w", what, i, data[i], ErrNonFinite)
+	}
+	return fmt.Errorf("%s row %d coordinate %d is %v: %w", what, i/cols, i%cols, data[i], ErrNonFinite)
+}
+
+// ProjectQuery rotates a raw query into the index's PCA space, rejecting
+// a wrong dimensionality or a non-finite coordinate. Exposed for
 // benchmarks that amortize projection across search modes.
 func (ix *Index) ProjectQuery(q []float32) ([]float32, error) {
 	if len(q) != ix.queryDim {
 		return nil, fmt.Errorf("core: query dim %d, index dim %d", len(q), ix.queryDim)
+	}
+	if err := CheckFinite("core: query", q, len(q)); err != nil {
+		return nil, err
 	}
 	return ix.model.ProjectVec(q)
 }

@@ -225,18 +225,8 @@ func assignAll(x *vec.Matrix, centroids *vec.Matrix, assign []int, dists []float
 
 func assignRange(x, centroids *vec.Matrix, assign []int, dists []float32, lo, hi int) float64 {
 	var inertia float64
-	k := centroids.Rows
 	for i := lo; i < hi; i++ {
-		row := x.Row(i)
-		best := 0
-		bestD := vec.SquaredL2(row, centroids.Row(0))
-		for c := 1; c < k; c++ {
-			d := vec.SquaredL2(row, centroids.Row(c))
-			if d < bestD {
-				bestD = d
-				best = c
-			}
-		}
+		best, bestD := vec.Nearest(x.Row(i), centroids)
 		assign[i] = best
 		dists[i] = bestD
 		inertia += float64(bestD)
@@ -337,14 +327,6 @@ func trainHierarchical(x *vec.Matrix, c Config) (*Result, error) {
 
 // AssignNearest returns the index of the centroid nearest to v.
 func AssignNearest(centroids *vec.Matrix, v []float32) int {
-	best := 0
-	bestD := vec.SquaredL2(v, centroids.Row(0))
-	for c := 1; c < centroids.Rows; c++ {
-		d := vec.SquaredL2(v, centroids.Row(c))
-		if d < bestD {
-			bestD = d
-			best = c
-		}
-	}
+	best, _ := vec.Nearest(v, centroids)
 	return best
 }

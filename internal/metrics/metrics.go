@@ -222,7 +222,8 @@ func (m *IndexMetrics) RecordRecallSample(hits, expected int) {
 	}
 }
 
-// RecordError counts a query that failed validation or execution.
+// RecordError counts a query that failed validation or execution, or an
+// Add rejected for non-finite input.
 func (m *IndexMetrics) RecordError() {
 	if m == nil {
 		return

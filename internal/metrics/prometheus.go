@@ -40,7 +40,7 @@ type promFamily struct {
 
 var promCounters = []promFamily{
 	{"vaq_queries_total", "Completed searches.", func(s Snapshot) uint64 { return s.Queries }},
-	{"vaq_errors_total", "Searches rejected by validation or execution.", func(s Snapshot) uint64 { return s.Errors }},
+	{"vaq_errors_total", "Searches rejected by validation or execution, and Adds rejected for non-finite input.", func(s Snapshot) uint64 { return s.Errors }},
 	{"vaq_clusters_visited_total", "TI clusters scanned.", func(s Snapshot) uint64 { return s.ClustersVisited }},
 	{"vaq_codes_considered_total", "Encoded vectors reached by the scan loop.", func(s Snapshot) uint64 { return s.CodesConsidered }},
 	{"vaq_codes_skipped_ti_total", "Codes pruned by the triangle-inequality bound.", func(s Snapshot) uint64 { return s.CodesSkippedTI }},

@@ -89,13 +89,21 @@ func (m *Model) ExplainedVarianceRatio() []float64 {
 // Project maps x (n x d) onto the PCA basis, producing the principal
 // component scores Z = X * V (n x d). If the model was centered, the mean
 // is subtracted first.
+//
+// Each score is the sum over k ascending of x[k]*V[k][j]. It is
+// accumulated by walking V's rows contiguously — row k adds its term to
+// every score — rather than reading V column-wise with stride d; each
+// score still sums its terms in the same order, so the result is
+// bit-identical to the column-wise dot products.
 func (m *Model) Project(x *vec.Matrix) (*vec.Matrix, error) {
 	if x.Cols != m.Dim {
 		return nil, fmt.Errorf("pca: project dimension %d, model has %d", x.Cols, m.Dim)
 	}
 	d := m.Dim
 	out := vec.NewMatrix(x.Rows, d)
-	row := make([]float64, d)
+	buf := make([]float64, 2*d)
+	row, acc := buf[:d], buf[d:]
+	comp := m.Components.Data
 	for i := 0; i < x.Rows; i++ {
 		src := x.Row(i)
 		for j := 0; j < d; j++ {
@@ -104,12 +112,14 @@ func (m *Model) Project(x *vec.Matrix) (*vec.Matrix, error) {
 				row[j] -= m.Mean[j]
 			}
 		}
-		dst := out.Row(i)
-		for j := 0; j < d; j++ {
-			var s float64
-			for k := 0; k < d; k++ {
-				s += row[k] * m.Components.At(k, j)
+		clear(acc)
+		for k, xk := range row {
+			for j, v := range comp[k*d : k*d+d] {
+				acc[j] += xk * v
 			}
+		}
+		dst := out.Row(i)
+		for j, s := range acc {
 			dst[j] = float32(s)
 		}
 	}

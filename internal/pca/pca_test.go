@@ -147,6 +147,39 @@ func TestProjectVec(t *testing.T) {
 	}
 }
 
+// TestProjectMatchesColumnDots pins Project to the column-wise dot
+// product Σ_k x[k]*V[k][j] (k ascending) bit for bit, centered or not.
+func TestProjectMatchesColumnDots(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, center := range []bool{false, true} {
+		x := anisotropic(rng, 60, 13, []float64{5, 3, 2, 2, 1, 1, 1, 1, 1, 0.5, 0.5, 0.2, 0.1})
+		m, err := Fit(x, Options{Center: center})
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, err := m.Project(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := m.Dim
+		for i := 0; i < x.Rows; i++ {
+			for j := 0; j < d; j++ {
+				var s float64
+				for k := 0; k < d; k++ {
+					v := float64(x.At(i, k))
+					if m.Mean != nil {
+						v -= m.Mean[k]
+					}
+					s += v * m.Components.At(k, j)
+				}
+				if got := z.At(i, j); math.Float32bits(got) != math.Float32bits(float32(s)) {
+					t.Fatalf("center=%v row %d col %d: %v, want %v", center, i, j, got, float32(s))
+				}
+			}
+		}
+	}
+}
+
 func TestProjectDimensionError(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := anisotropic(rng, 10, 3, []float64{1, 1, 1})

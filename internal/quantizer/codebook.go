@@ -165,8 +165,8 @@ func (cb *Codebooks) Encode(data *vec.Matrix, parallel bool) (*Codes, error) {
 // EncodeVec encodes a single full-dimension vector into out (length M).
 func (cb *Codebooks) EncodeVec(v []float32, out []uint16) {
 	for s := 0; s < cb.Sub.M(); s++ {
-		sv := cb.Sub.Of(v, s)
-		out[s] = uint16(kmeans.AssignNearest(cb.Books[s], sv))
+		c, _ := vec.Nearest(cb.Sub.Of(v, s), cb.Books[s])
+		out[s] = uint16(c)
 	}
 }
 

@@ -17,6 +17,13 @@ type LUT struct {
 
 // BuildLUT computes the ADC lookup table for query q.
 func (cb *Codebooks) BuildLUT(q []float32) *LUT {
+	lut := cb.NewLUT()
+	cb.FillLUT(q, lut)
+	return lut
+}
+
+// NewLUT allocates an unfilled lookup table shaped for these codebooks.
+func (cb *Codebooks) NewLUT() *LUT {
 	m := cb.Sub.M()
 	offsets := make([]int, m+1)
 	total := 0
@@ -25,79 +32,16 @@ func (cb *Codebooks) BuildLUT(q []float32) *LUT {
 		total += cb.Books[s].Rows
 	}
 	offsets[m] = total
-	lut := &LUT{M: m, Offsets: offsets, Dist: make([]float32, total)}
-	cb.FillLUT(q, lut)
-	return lut
+	return &LUT{M: m, Offsets: offsets, Dist: make([]float32, total)}
 }
 
 // FillLUT recomputes an existing table in place for a new query, avoiding
-// per-query allocation on the batch path. Table construction is on the
-// per-query critical path (Algorithm 4 lines 5-13), so the common short
-// subspace lengths walk the dictionary storage directly instead of paying
-// a slice + call round trip per entry; every path keeps SquaredL2's exact
-// float association, so tables are bit-identical regardless of length.
+// per-query allocation on the batch path. Every entry keeps SquaredL2's
+// exact float association (see vec.Distances), so tables are
+// bit-identical regardless of subspace length.
 func (cb *Codebooks) FillLUT(q []float32, lut *LUT) {
 	for s := 0; s < cb.Sub.M(); s++ {
-		FillTable(cb.Sub.Of(q, s), cb.Books[s], lut.Dist[lut.Offsets[s]:lut.Offsets[s+1]])
-	}
-}
-
-// FillTable computes one subspace's distance table for query subvector qs
-// against an arbitrary dictionary matrix — the single-subspace core of
-// FillLUT, exported so derived scan stores (coarsened dictionaries) can
-// build their own tables with the same float association.
-func FillTable(qs []float32, book *vec.Matrix, out []float32) {
-	switch len(qs) {
-	case 4:
-		fillLUT4(qs, book.Data, out)
-	case 8:
-		fillLUT8(qs, book.Data, out)
-	default:
-		for c := 0; c < book.Rows; c++ {
-			out[c] = vec.SquaredL2(qs, book.Row(c))
-		}
-	}
-}
-
-// fillLUT4 computes one subspace's table for 4-dimensional entries.
-// Identical arithmetic to SquaredL2 at n=4: four independent products
-// summed left to right.
-func fillLUT4(qs []float32, rows []float32, out []float32) {
-	q0, q1, q2, q3 := qs[0], qs[1], qs[2], qs[3]
-	for c := range out {
-		r := rows[c*4 : c*4+4 : c*4+4]
-		t0 := q0 - r[0]
-		t1 := q1 - r[1]
-		t2 := q2 - r[2]
-		t3 := q3 - r[3]
-		out[c] = t0*t0 + t1*t1 + t2*t2 + t3*t3
-	}
-}
-
-// fillLUT8 computes one subspace's table for 8-dimensional entries with
-// SquaredL2's association: per-lane partial sums over two 4-wide rounds,
-// then d0+d1+d2+d3.
-func fillLUT8(qs []float32, rows []float32, out []float32) {
-	for c := range out {
-		r := rows[c*8 : c*8+8 : c*8+8]
-		var d0, d1, d2, d3 float32
-		t0 := qs[0] - r[0]
-		t1 := qs[1] - r[1]
-		t2 := qs[2] - r[2]
-		t3 := qs[3] - r[3]
-		d0 += t0 * t0
-		d1 += t1 * t1
-		d2 += t2 * t2
-		d3 += t3 * t3
-		t0 = qs[4] - r[4]
-		t1 = qs[5] - r[5]
-		t2 = qs[6] - r[6]
-		t3 = qs[7] - r[7]
-		d0 += t0 * t0
-		d1 += t1 * t1
-		d2 += t2 * t2
-		d3 += t3 * t3
-		out[c] = d0 + d1 + d2 + d3
+		vec.Distances(cb.Sub.Of(q, s), cb.Books[s], lut.Table(s))
 	}
 }
 

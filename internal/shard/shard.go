@@ -81,9 +81,10 @@ type Options struct {
 	SkewAlertRatio float64
 }
 
-// shardState is one partition: its index, the local-to-global id mapping
-// (copy-on-write behind an atomic pointer so queries never lock), a pool
-// of reusable searchers, and the per-shard Add lock.
+// shardState is one partition: its index (whose own pool supplies the
+// scatter's searchers), the local-to-global id mapping (copy-on-write
+// behind an atomic pointer so queries never lock), and the per-shard Add
+// lock.
 type shardState struct {
 	ix  *core.Index
 	ids atomic.Pointer[[]int32]
@@ -91,18 +92,8 @@ type shardState struct {
 	// shard so the mapping is no longer monotone; mapped result lists are
 	// then re-sorted before merging to keep the (dist, global id) order.
 	unordered atomic.Bool
-	pool      sync.Pool // *core.Searcher
 	addMu     sync.Mutex
 }
-
-func (st *shardState) getSearcher() *core.Searcher {
-	if s, ok := st.pool.Get().(*core.Searcher); ok {
-		return s
-	}
-	return st.ix.NewSearcher()
-}
-
-func (st *shardState) putSearcher(s *core.Searcher) { st.pool.Put(s) }
 
 // Index is a sharded VAQ index: S partitions sharing one trained model.
 type Index struct {
@@ -603,10 +594,10 @@ func (x *Index) searchProjected(qz, rawQ []float32, k int, opt core.SearchOption
 						o.InitialThreshold = bf
 					}
 				}
-				sr := st.getSearcher()
+				sr := st.ix.AcquireSearcher()
 				res, err := sr.SearchProjected(qz, k, o)
 				if err != nil {
-					st.putSearcher(sr)
+					st.ix.ReleaseSearcher(sr)
 					g.errs[si] = fmt.Errorf("shard %d: %w", si, err)
 					continue
 				}
@@ -622,7 +613,7 @@ func (x *Index) searchProjected(qz, rawQ []float32, k int, opt core.SearchOption
 					})
 				}
 				b, full := g.fold(si, mapped, stats)
-				st.putSearcher(sr)
+				st.ix.ReleaseSearcher(sr)
 				if tm != nil {
 					tm.done = time.Since(start)
 					tm.stats = stats
@@ -829,6 +820,10 @@ func (x *Index) Add(vectors *vec.Matrix) (firstID int, err error) {
 	}
 	if vectors.Cols != x.dim {
 		return 0, fmt.Errorf("shard: Add dimension %d, index dimension %d", vectors.Cols, x.dim)
+	}
+	if err := core.CheckFinite("shard: Add", vectors.Data, vectors.Cols); err != nil {
+		x.reg.RecordError()
+		return 0, err
 	}
 	rows := vectors.Rows
 	var first int64

@@ -27,6 +27,17 @@ func SquaredL2(a, b []float32) float32 {
 	return d
 }
 
+// NonFinite returns the index of the first NaN or ±Inf element of a, or -1
+// when every element is finite.
+func NonFinite(a []float32) int {
+	for i, v := range a {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2(a, b))))

@@ -32,7 +32,8 @@ type ShardedSnapshot = metrics.ShardedSnapshot
 // cumulative since Build (or the last ResetMetrics).
 type MetricsSnapshot struct {
 	// Queries is the number of completed searches; Errors the number of
-	// searches rejected by validation (bad k, bad dimension).
+	// searches rejected by validation (bad k, bad dimension, non-finite
+	// coordinates) plus the Adds rejected for non-finite coordinates.
 	Queries uint64 `json:"queries"`
 	Errors  uint64 `json:"errors"`
 	// ClustersVisited..Lookups are the summed SearchStats counters.

@@ -41,6 +41,12 @@ import (
 	"vaq/internal/vec"
 )
 
+// ErrNonFinite is returned (wrapped) by Search, SearchWith, SearchBatch
+// and Add on Index and ShardedIndex when a query or vector holds a NaN or
+// ±Inf coordinate; test for it with errors.Is. Each rejection counts in
+// the metrics error counter.
+var ErrNonFinite = core.ErrNonFinite
+
 // Result is one search answer: a database vector id and its distance to
 // the query. Distances are squared Euclidean in the quantized space —
 // comparable within one result list, monotone in the true distance up to
