@@ -19,6 +19,17 @@ import (
 // registry's error counter, its slot is nil in the returned slice, and the
 // per-query errors come back joined (errors.Join) with their query indices.
 func (ix *Index) SearchBatch(queries [][]float32, k int, opt SearchOptions, workers int) ([][]Result, error) {
+	return searchBatch(queries, k, workers, func() (func([]float32) ([]Result, error), func()) {
+		s := &Searcher{inner: ix.inner.AcquireSearcher()}
+		search := func(q []float32) ([]Result, error) { return s.Search(q, k, opt) }
+		return search, func() { ix.inner.ReleaseSearcher(s.inner) }
+	})
+}
+
+// searchBatch is the worker pool behind both SearchBatch methods. Each of
+// the workers goroutines calls newWorker once for its search function and
+// the release function it runs on exit (nil = nothing to release).
+func searchBatch(queries [][]float32, k, workers int, newWorker func() (search func([]float32) ([]Result, error), release func())) ([][]Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("vaq: k must be >= 1, got %d", k)
 	}
@@ -40,10 +51,12 @@ func (ix *Index) SearchBatch(queries [][]float32, k int, opt SearchOptions, work
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := &Searcher{inner: ix.inner.AcquireSearcher()}
-			defer ix.inner.ReleaseSearcher(s.inner)
+			search, release := newWorker()
+			if release != nil {
+				defer release()
+			}
 			for qi := range next {
-				res, err := s.Search(queries[qi], k, opt)
+				res, err := search(queries[qi])
 				if err != nil {
 					qErrs[qi] = fmt.Errorf("vaq: query %d: %w", qi, err)
 					continue

@@ -55,6 +55,7 @@ import (
 	"vaq/internal/eval"
 	"vaq/internal/history"
 	"vaq/internal/metrics"
+	"vaq/internal/observe"
 	"vaq/internal/shard"
 	"vaq/internal/trace"
 	"vaq/internal/workload"
@@ -159,25 +160,26 @@ func main() {
 	if *topMode {
 		*historyOn = true
 	}
+	run := runFlags{
+		shards:      *shards,
+		k:           *k,
+		visit:       *visit,
+		hold:        *hold,
+		traceOn:     *traceOn,
+		traceSlow:   *traceSlow,
+		capturePath: *capturePath,
+		captureRate: *captureRate,
+		skewAlert:   *skewAlert,
+		bundleDir:   *bundleDir,
+		history:     *historyOn,
+		historyInt:  *historyInt,
+		burnFast:    *burnFast,
+		burnSlow:    *burnSlow,
+		top:         *topMode,
+		churn:       *churn,
+	}
 	if *shards > 1 {
-		runSharded(ds, cfg, shardedRun{
-			shards:      *shards,
-			k:           *k,
-			visit:       *visit,
-			hold:        *hold,
-			traceOn:     *traceOn,
-			traceSlow:   *traceSlow,
-			capturePath: *capturePath,
-			captureRate: *captureRate,
-			skewAlert:   *skewAlert,
-			bundleDir:   *bundleDir,
-			history:     *historyOn,
-			historyInt:  *historyInt,
-			burnFast:    *burnFast,
-			burnSlow:    *burnSlow,
-			top:         *topMode,
-			churn:       *churn,
-		})
+		runSharded(ds, cfg, run)
 		return
 	}
 	start := time.Now()
@@ -203,87 +205,7 @@ func main() {
 	fmt.Printf("diagnostics: mse_share=%.4f (%s), dead codewords %d/%d, TI gini %.2f, imbalance %.1fx\n",
 		drep.MSEShare, drep.MSESource, drep.DeadCodewordsTotal, entries,
 		drep.TI.Gini, drep.TI.ImbalanceRatio)
-	var tr *trace.Tracer
-	if *traceOn {
-		tr = ix.EnableTracing(trace.Config{SlowThreshold: *traceSlow})
-		trace.Publish("vaqsearch_index", tr)
-	}
-
-	// Workload capture, flushed exactly once — on the normal exit path or
-	// from the signal handler, whichever comes first, so an interrupted
-	// -hold still leaves a replayable log behind.
-	var flushOnce sync.Once
-	flushCapture := func() {
-		if *capturePath == "" {
-			return
-		}
-		flushOnce.Do(func() {
-			cap := ix.Capture()
-			if cap == nil {
-				return
-			}
-			log := cap.Snapshot()
-			if err := log.Save(*capturePath); err != nil {
-				fmt.Fprintf(os.Stderr, "vaqsearch: capture: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "vaqsearch: captured %d of %d sampled queries (%d dropped) to %s (fingerprint %s)\n",
-				len(log.Records), cap.Sampled(), cap.Dropped(), *capturePath, log.Fingerprint)
-		})
-	}
-	// Flight-recorder shutdown, also exactly once: Close drains pending
-	// alert-triggered bundles, so an interrupted -hold still leaves every
-	// incident on disk — the same contract as the capture flush.
-	var bundleOnce sync.Once
-	flushBundle := func() {
-		if *bundleDir == "" {
-			return
-		}
-		bundleOnce.Do(func() {
-			rec := ix.FlightRecorder()
-			if rec == nil {
-				return
-			}
-			if err := rec.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "vaqsearch: bundle: %v\n", err)
-			}
-			st := rec.Status()
-			fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder wrote %d incident bundle(s) under %s\n",
-				st.BundlesWritten, st.Dir)
-		})
-	}
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(os.Stderr, "vaqsearch: %s — flushing capture and bundles, exiting\n", sig)
-		flushCapture()
-		flushBundle()
-		os.Exit(130)
-	}()
-	if *capturePath != "" {
-		ix.EnableCapture(workload.Config{SampleRate: *captureRate})
-	}
-	if *bundleDir != "" {
-		rec, err := ix.EnableFlightRecorder("vaqsearch_index", bundle.Config{Dir: *bundleDir})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder: %v\n", err)
-			os.Exit(1)
-		}
-		bundle.Publish("vaqsearch_index", rec)
-		fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder armed — incident bundles under %s\n", *bundleDir)
-	}
-	var col *history.Collector
-	if *historyOn {
-		var err error
-		col, err = ix.EnableHistory("vaqsearch_index", historyConfig(*historyInt, *burnFast, *burnSlow))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vaqsearch: history: %v\n", err)
-			os.Exit(1)
-		}
-		history.Publish("vaqsearch_index", col)
-		fmt.Fprintf(os.Stderr, "vaqsearch: history collector armed (interval %s) — trends at /debug/vaq/history\n", col.Interval())
-	}
+	obs := armObservers(&ix.Attachments, run)
 
 	gt, err := eval.GroundTruth(ds.Base, ds.Queries, *k)
 	if err != nil {
@@ -328,25 +250,17 @@ func main() {
 			slo.LatencyBudgetRemaining, slo.BurnRate, slo.LatencyViolations,
 			slo.WindowQueries, slo.RecallBudgetRemaining, status)
 	}
-	if tr != nil {
-		if slow, seen := tr.Slowest(); len(slow) > 0 {
-			fmt.Printf("slowest traced query (%d over the %s threshold):\n", seen, *traceSlow)
-			trace.WriteText(os.Stdout, slow[:1])
-		} else {
-			fmt.Printf("no query exceeded the %s slow threshold (%d traced)\n",
-				*traceSlow, tr.Count())
-		}
-	}
-	flushCapture()
+	obs.reportSlowest(*traceSlow)
+	obs.flushCapture()
 	churnSearcher := ix.NewSearcher()
 	stopChurn := startChurn(*churn, *hold, ds, func(q []float32) {
 		_, _ = churnSearcher.Search(q, *k, core.SearchOptions{
 			Mode: core.ModeTIEA, VisitFrac: *visit,
 		})
 	})
-	holdLoop(*hold, *topMode, col, sigCh)
+	holdLoop(*hold, *topMode, obs.col, obs.sigCh)
 	stopChurn()
-	flushBundle()
+	obs.flushBundle()
 }
 
 // startChurn keeps background queries flowing during -hold so windowed
@@ -424,8 +338,120 @@ func holdLoop(hold time.Duration, top bool, col *history.Collector, sigCh chan o
 	}
 }
 
-// shardedRun bundles the -shards >1 run parameters.
-type shardedRun struct {
+// observers holds what armObservers wired onto an index.
+type observers struct {
+	tr    *trace.Tracer      // nil unless -trace
+	col   *history.Collector // nil unless -history
+	sigCh chan os.Signal
+	// flushCapture saves the -capture log and flushBundle drains the flight
+	// recorder, each exactly once — on the normal exit path or from the
+	// signal handler, whichever comes first, so an interrupted -hold still
+	// leaves a replayable log and every incident bundle on disk.
+	flushCapture, flushBundle func()
+}
+
+// armObservers arms the runtime observers the flags ask for on the
+// attachments of either index type, publishing each under
+// vaqsearch_index, and installs the SIGINT/SIGTERM flush-and-exit handler.
+func armObservers(att *observe.Attachments, run runFlags) *observers {
+	o := &observers{sigCh: make(chan os.Signal, 1)}
+	if run.traceOn {
+		o.tr = att.EnableTracing(trace.Config{SlowThreshold: run.traceSlow})
+		trace.Publish("vaqsearch_index", o.tr)
+	}
+	var flushOnce, bundleOnce sync.Once
+	o.flushCapture = func() {
+		if run.capturePath == "" {
+			return
+		}
+		flushOnce.Do(func() {
+			cap := att.Capture()
+			if cap == nil {
+				return
+			}
+			log := cap.Snapshot()
+			if err := log.Save(run.capturePath); err != nil {
+				fmt.Fprintf(os.Stderr, "vaqsearch: capture: %v\n", err)
+				return
+			}
+			shards := ""
+			if log.Shards > 0 {
+				shards = fmt.Sprintf(", %d shards", log.Shards)
+			}
+			fmt.Fprintf(os.Stderr, "vaqsearch: captured %d of %d sampled queries (%d dropped) to %s (fingerprint %s%s)\n",
+				len(log.Records), cap.Sampled(), cap.Dropped(), run.capturePath, log.Fingerprint, shards)
+		})
+	}
+	o.flushBundle = func() {
+		if run.bundleDir == "" {
+			return
+		}
+		bundleOnce.Do(func() {
+			rec := att.FlightRecorder()
+			if rec == nil {
+				return
+			}
+			if err := rec.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "vaqsearch: bundle: %v\n", err)
+			}
+			st := rec.Status()
+			fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder wrote %d incident bundle(s) under %s\n",
+				st.BundlesWritten, st.Dir)
+		})
+	}
+	signal.Notify(o.sigCh, syscall.SIGINT, syscall.SIGTERM)
+	go func() {
+		sig := <-o.sigCh
+		fmt.Fprintf(os.Stderr, "vaqsearch: %s — flushing capture and bundles, exiting\n", sig)
+		o.flushCapture()
+		o.flushBundle()
+		os.Exit(130)
+	}()
+	if run.capturePath != "" {
+		att.EnableCapture(workload.Config{SampleRate: run.captureRate})
+	}
+	if run.bundleDir != "" {
+		rec, err := att.EnableFlightRecorder("vaqsearch_index", bundle.Config{Dir: run.bundleDir})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder: %v\n", err)
+			os.Exit(1)
+		}
+		bundle.Publish("vaqsearch_index", rec)
+		fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder armed — incident bundles under %s\n", run.bundleDir)
+	}
+	if run.history {
+		var err error
+		o.col, err = att.EnableHistory("vaqsearch_index", historyConfig(run.historyInt, run.burnFast, run.burnSlow))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "vaqsearch: history: %v\n", err)
+			os.Exit(1)
+		}
+		history.Publish("vaqsearch_index", o.col)
+		targets := ""
+		if n := len(o.col.Targets()); n > 1 {
+			targets = fmt.Sprintf(", %d targets", n)
+		}
+		fmt.Fprintf(os.Stderr, "vaqsearch: history collector armed (interval %s%s) — trends at /debug/vaq/history\n",
+			o.col.Interval(), targets)
+	}
+	return o
+}
+
+// reportSlowest prints the slowest traced query, if tracing is on.
+func (o *observers) reportSlowest(threshold time.Duration) {
+	if o.tr == nil {
+		return
+	}
+	if slow, seen := o.tr.Slowest(); len(slow) > 0 {
+		fmt.Printf("slowest traced query (%d over the %s threshold):\n", seen, threshold)
+		trace.WriteText(os.Stdout, slow[:1])
+	} else {
+		fmt.Printf("no query exceeded the %s slow threshold (%d traced)\n", threshold, o.tr.Count())
+	}
+}
+
+// runFlags bundles the run parameters both index paths read.
+type runFlags struct {
 	shards      int
 	k           int
 	visit       float64
@@ -452,7 +478,7 @@ type shardedRun struct {
 // a replayable workload log. Per-shard registries and diagnostics are
 // published under vaqsearch_index/shard-i; the per-shard breakdown lives
 // at /debug/vaq/shards.
-func runSharded(ds *dataset.Dataset, cfg core.Config, run shardedRun) {
+func runSharded(ds *dataset.Dataset, cfg core.Config, run runFlags) {
 	start := time.Now()
 	x, err := shard.Build(ds.Train, ds.Base, cfg, shard.Options{
 		Shards:         run.shards,
@@ -471,88 +497,7 @@ func runSharded(ds *dataset.Dataset, cfg core.Config, run shardedRun) {
 		rep.TIClustering.Round(time.Millisecond))
 	x.PublishExpvar("vaqsearch_index")
 	x.PublishDiagnostics("vaqsearch_index")
-	var tr *trace.Tracer
-	if run.traceOn {
-		tr = x.EnableTracing(trace.Config{SlowThreshold: run.traceSlow})
-		trace.Publish("vaqsearch_index", tr)
-	}
-
-	// Workload capture, flushed exactly once — on the normal exit path or
-	// from the signal handler, whichever comes first, so an interrupted
-	// -hold still leaves a replayable log behind.
-	var flushOnce sync.Once
-	flushCapture := func() {
-		if run.capturePath == "" {
-			return
-		}
-		flushOnce.Do(func() {
-			cap := x.Capture()
-			if cap == nil {
-				return
-			}
-			log := cap.Snapshot()
-			if err := log.Save(run.capturePath); err != nil {
-				fmt.Fprintf(os.Stderr, "vaqsearch: capture: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "vaqsearch: captured %d of %d sampled queries (%d dropped) to %s (fingerprint %s, %d shards)\n",
-				len(log.Records), cap.Sampled(), cap.Dropped(), run.capturePath,
-				log.Fingerprint, log.Shards)
-		})
-	}
-	// Flight-recorder shutdown, also exactly once (same contract as the
-	// unsharded path: Close drains pending alert-triggered bundles).
-	var bundleOnce sync.Once
-	flushBundle := func() {
-		if run.bundleDir == "" {
-			return
-		}
-		bundleOnce.Do(func() {
-			rec := x.FlightRecorder()
-			if rec == nil {
-				return
-			}
-			if err := rec.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "vaqsearch: bundle: %v\n", err)
-			}
-			st := rec.Status()
-			fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder wrote %d incident bundle(s) under %s\n",
-				st.BundlesWritten, st.Dir)
-		})
-	}
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(os.Stderr, "vaqsearch: %s — flushing capture and bundles, exiting\n", sig)
-		flushCapture()
-		flushBundle()
-		os.Exit(130)
-	}()
-	if run.capturePath != "" {
-		x.EnableCapture(workload.Config{SampleRate: run.captureRate})
-	}
-	if run.bundleDir != "" {
-		rec, err := x.EnableFlightRecorder("vaqsearch_index", bundle.Config{Dir: run.bundleDir})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder: %v\n", err)
-			os.Exit(1)
-		}
-		bundle.Publish("vaqsearch_index", rec)
-		fmt.Fprintf(os.Stderr, "vaqsearch: flight recorder armed — incident bundles under %s\n", run.bundleDir)
-	}
-	var col *history.Collector
-	if run.history {
-		var err error
-		col, err = x.EnableHistory("vaqsearch_index", historyConfig(run.historyInt, run.burnFast, run.burnSlow))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vaqsearch: history: %v\n", err)
-			os.Exit(1)
-		}
-		history.Publish("vaqsearch_index", col)
-		fmt.Fprintf(os.Stderr, "vaqsearch: history collector armed (interval %s, %d targets) — trends at /debug/vaq/history\n",
-			col.Interval(), len(col.Targets()))
-	}
+	obs := armObservers(&x.Attachments, run)
 
 	gt, err := eval.GroundTruth(ds.Base, ds.Queries, run.k)
 	if err != nil {
@@ -612,22 +557,14 @@ func runSharded(ds *dataset.Dataset, cfg core.Config, run shardedRun) {
 			slo.LatencyBudgetRemaining, slo.BurnRate, slo.LatencyViolations,
 			slo.WindowQueries, status)
 	}
-	if tr != nil {
-		if slow, seen := tr.Slowest(); len(slow) > 0 {
-			fmt.Printf("slowest traced query (%d over the %s threshold):\n", seen, run.traceSlow)
-			trace.WriteText(os.Stdout, slow[:1])
-		} else {
-			fmt.Printf("no query exceeded the %s slow threshold (%d traced)\n",
-				run.traceSlow, tr.Count())
-		}
-	}
-	flushCapture()
+	obs.reportSlowest(run.traceSlow)
+	obs.flushCapture()
 	stopChurn := startChurn(run.churn, run.hold, ds, func(q []float32) {
 		_, _ = x.Search(q, run.k, core.SearchOptions{
 			Mode: core.ModeTIEA, VisitFrac: run.visit,
 		})
 	})
-	holdLoop(run.hold, run.top, col, sigCh)
+	holdLoop(run.hold, run.top, obs.col, obs.sigCh)
 	stopChurn()
-	flushBundle()
+	obs.flushBundle()
 }

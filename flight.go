@@ -44,8 +44,9 @@ type AlertEvent = alert.Event
 type AlertStatus = alert.Status
 
 // Alerts returns the index's alert bus, or nil when metrics are disabled.
-// Drift and SLO latches publish their breach/recovery edges here.
-func (ix *Index) Alerts() *AlertBus { return ix.inner.Metrics().Alerts() }
+// Drift and SLO latches publish their breach/recovery edges here, and on
+// a ShardedIndex the vaq.skew latch too.
+func (ix *observed) Alerts() *AlertBus { return ix.att.Alerts() }
 
 // EnableFlightRecorder arms a flight recorder on the index: on any alert
 // breach edge (or FlightRecorder.Trigger), the recent context — metrics
@@ -54,35 +55,18 @@ func (ix *Index) Alerts() *AlertBus { return ix.inner.Metrics().Alerts() }
 // frozen into a versioned incident bundle under cfg.Dir. name is stamped
 // into each bundle's provenance. When no workload capture is attached, a
 // ring-shaped one is installed so bundles always carry a replayable log.
-// Armed but idle, the query path cost is unchanged (the recorder
-// subscribes to the alert bus; it is never consulted per query). Disarm
-// with DisableFlightRecorder.
-func (ix *Index) EnableFlightRecorder(name string, cfg BundleConfig) (*FlightRecorder, error) {
-	return ix.inner.EnableFlightRecorder(name, cfg)
+// On a ShardedIndex the bundle's workload log carries the merged (global)
+// result lists and its provenance the shard count, so the embedded .vaqwl
+// replays through the same scatter shape. Armed but idle, the query path
+// cost is unchanged (the recorder subscribes to the alert bus; it is
+// never consulted per query). Disarm with DisableFlightRecorder.
+func (ix *observed) EnableFlightRecorder(name string, cfg BundleConfig) (*FlightRecorder, error) {
+	return ix.att.EnableFlightRecorder(name, cfg)
 }
 
 // DisableFlightRecorder disarms the flight recorder, flushing pending
 // alert-triggered bundles first. No-op when none is armed.
-func (ix *Index) DisableFlightRecorder() error { return ix.inner.DisableFlightRecorder() }
+func (ix *observed) DisableFlightRecorder() error { return ix.att.DisableFlightRecorder() }
 
 // FlightRecorder returns the armed recorder, or nil.
-func (ix *Index) FlightRecorder() *FlightRecorder { return ix.inner.FlightRecorder() }
-
-// Alerts returns the sharded index's alert bus (vaq.skew, vaq.slo.*), or
-// nil when metrics are disabled.
-func (ix *ShardedIndex) Alerts() *AlertBus { return ix.inner.Metrics().Alerts() }
-
-// EnableFlightRecorder arms a flight recorder on the sharded index — same
-// contract as the unsharded one, with the bundle's workload log carrying
-// the merged (global) result lists and shard count, so the embedded
-// .vaqwl replays through the same scatter shape.
-func (ix *ShardedIndex) EnableFlightRecorder(name string, cfg BundleConfig) (*FlightRecorder, error) {
-	return ix.inner.EnableFlightRecorder(name, cfg)
-}
-
-// DisableFlightRecorder disarms the flight recorder, flushing pending
-// alert-triggered bundles first. No-op when none is armed.
-func (ix *ShardedIndex) DisableFlightRecorder() error { return ix.inner.DisableFlightRecorder() }
-
-// FlightRecorder returns the armed recorder, or nil.
-func (ix *ShardedIndex) FlightRecorder() *FlightRecorder { return ix.inner.FlightRecorder() }
+func (ix *observed) FlightRecorder() *FlightRecorder { return ix.att.FlightRecorder() }

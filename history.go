@@ -47,33 +47,19 @@ func PublishHistory(name string, c *HistoryCollector) { history.Publish(name, c)
 // when an SLO is configured and cfg.DisableBurn is false — canonical
 // multi-window multi-burn-rate alerting (vaq.burn.* sources on the alert
 // bus) replacing the instantaneous SLO exhaustion edge while armed. name
-// labels the merged target (use the published index name). Disarm with
-// DisableHistory.
-func (ix *Index) EnableHistory(name string, cfg HistoryConfig) (*HistoryCollector, error) {
-	return ix.inner.EnableHistory(name, cfg)
+// labels the merged target (use the published index name). On a
+// ShardedIndex every per-shard registry is also watched under
+// name/shard-i, so per-shard trends are queryable next to the merged
+// ones; burn-rate rules arm only on the merged registry (the one carrying
+// the end-to-end SLO). Disarm with DisableHistory.
+func (ix *observed) EnableHistory(name string, cfg HistoryConfig) (*HistoryCollector, error) {
+	return ix.att.EnableHistory(name, cfg)
 }
 
 // DisableHistory stops the collector after a final sweep and hands SLO
 // alerting back to the instantaneous exhaustion edge. No-op when none is
 // armed.
-func (ix *Index) DisableHistory() { ix.inner.DisableHistory() }
+func (ix *observed) DisableHistory() { ix.att.DisableHistory() }
 
 // History returns the armed collector, or nil.
-func (ix *Index) History() *HistoryCollector { return ix.inner.History() }
-
-// EnableHistory arms a history collector on the sharded index: the merged
-// registry is watched under name and every per-shard registry under
-// name/shard-i, so per-shard trends are queryable next to the merged ones.
-// Burn-rate rules arm only on the merged registry (the one carrying the
-// end-to-end SLO).
-func (ix *ShardedIndex) EnableHistory(name string, cfg HistoryConfig) (*HistoryCollector, error) {
-	return ix.inner.EnableHistory(name, cfg)
-}
-
-// DisableHistory stops the collector after a final sweep and hands SLO
-// alerting back to the instantaneous exhaustion edge. No-op when none is
-// armed.
-func (ix *ShardedIndex) DisableHistory() { ix.inner.DisableHistory() }
-
-// History returns the armed collector, or nil.
-func (ix *ShardedIndex) History() *HistoryCollector { return ix.inner.History() }
+func (ix *observed) History() *HistoryCollector { return ix.att.History() }

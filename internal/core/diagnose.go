@@ -176,21 +176,6 @@ func (ix *Index) foldDriftLocked(batchSqErr []float64, batch int) {
 	}
 }
 
-// sloBreach is the metrics.BreachFunc Build installs for Config.SLO: one
-// vaq.slo slog event per budget-exhaustion edge (the metrics layer latches
-// the edge, so this fires exactly once per crossing and re-arms on
-// recovery). Called from the query path — one structured log line, nothing
-// else.
-func (ix *Index) sloBreach(kind string, remaining, burn float64) {
-	if ix.cfg.Logger == nil {
-		return
-	}
-	ix.cfg.Logger.Warn("vaq.slo",
-		slog.String("objective", kind),
-		slog.Float64("budget_remaining", remaining),
-		slog.Float64("burn_rate", burn))
-}
-
 // countDeadCodewords counts dictionary entries no code references, summed
 // over subspaces. One pass over the codes; Add calls it after each batch
 // (Add already pays an O(n·m) blocked-layout rebuild, so this does not

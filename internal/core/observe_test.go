@@ -17,7 +17,7 @@ import (
 
 // TestSearchRecordMirrorsSearchStats pins the contract metrics.SearchRecord
 // documents: it stays field-for-field identical (name, type, order) with
-// core.SearchStats, so the conversion in record() can never silently drop a
+// core.SearchStats, so the conversion in Record() can never silently drop a
 // counter when one side grows a field.
 func TestSearchRecordMirrorsSearchStats(t *testing.T) {
 	st := reflect.TypeOf(SearchStats{})

@@ -105,11 +105,11 @@ type SearchStats struct {
 	TISkipsByRank []uint32
 }
 
-// record converts the stats to the dependency-free currency the metrics
+// Record converts the stats to the dependency-free currency the metrics
 // registry and tracer share. The attribution slices are passed by reference
 // (RecordSearch folds them immediately; the tracer stores the record only in
 // a completed QueryTrace, which deep-copies via recordCopy).
-func (st *SearchStats) record() metrics.SearchRecord {
+func (st *SearchStats) Record() metrics.SearchRecord {
 	return metrics.SearchRecord{
 		ClustersVisited:  st.ClustersVisited,
 		CodesConsidered:  st.CodesConsidered,
@@ -121,10 +121,10 @@ func (st *SearchStats) record() metrics.SearchRecord {
 	}
 }
 
-// recordCopy is record with the attribution slices deep-copied, safe to
+// recordCopy is Record with the attribution slices deep-copied, safe to
 // retain past the next query (QueryTraces live in the tracer ring).
 func (st *SearchStats) recordCopy() metrics.SearchRecord {
-	r := st.record()
+	r := st.Record()
 	r.AbandonDepths = append([]uint32(nil), r.AbandonDepths...)
 	r.TISkipsByRank = append([]uint32(nil), r.TISkipsByRank...)
 	return r
@@ -185,7 +185,7 @@ func (ix *Index) NewSearcher() *Searcher { return ix.newSearcher() }
 
 func (ix *Index) newSearcher() *Searcher {
 	s := &Searcher{ix: ix}
-	s.AttachTracer(ix.tracer.Load())
+	s.AttachTracer(ix.Tracer())
 	return s
 }
 
@@ -199,7 +199,7 @@ func (ix *Index) AcquireSearcher() *Searcher {
 	if s == nil {
 		return ix.newSearcher()
 	}
-	if t := ix.tracer.Load(); t != s.tr {
+	if t := ix.Tracer(); t != s.tr {
 		s.AttachTracer(t)
 	}
 	return s
@@ -273,7 +273,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	defer ix.mu.RUnlock()
 	rec := s.rec
 	pc := ix.profCtx.Load()
-	wcap := ix.capture.Load()
+	wcap := ix.Capture()
 	var start time.Time
 	if ix.metrics != nil || wcap != nil {
 		start = time.Now()
@@ -384,7 +384,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 		lat = time.Since(start)
 	}
 	if ix.metrics != nil {
-		ix.metrics.RecordSearch(s.stats.record(), lat)
+		ix.metrics.RecordSearch(s.stats.Record(), lat)
 	}
 	var traceSeq uint64
 	if rec.Active() {
@@ -395,7 +395,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	// can carry the exemplar's sequence id; the sampling stride only
 	// advances while a capture is attached.
 	if wcap != nil && wcap.ShouldSample() {
-		s.captureQuery(wcap, qz, k, opt, res, lat.Nanoseconds(), traceSeq)
+		CaptureQuery(wcap, qz, s.rawQ, k, opt, res, lat, traceSeq)
 	}
 	// Shadow-exact recall sampling happens after the trace closes so the
 	// exemplar durations measure the approximate query, not the audit.

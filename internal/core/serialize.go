@@ -374,14 +374,11 @@ func Read(r io.Reader) (*Index, error) {
 	if n < 0 || n > 1<<34 {
 		return nil, fmt.Errorf("core: implausible vector count %d", n)
 	}
-	codes := quantizer.NewCodes(n, m)
-	buf := make([]byte, 2*len(codes.Data))
-	if _, err := io.ReadFull(br, buf); err != nil {
+	codeData, err := vec.ReadWords(br, n*m, 2, binary.LittleEndian.Uint16)
+	if err != nil {
 		return nil, fmt.Errorf("core: codes: %w", err)
 	}
-	for i := range codes.Data {
-		codes.Data[i] = binary.LittleEndian.Uint16(buf[2*i:])
-	}
+	codes := &quantizer.Codes{N: n, M: m, Data: codeData}
 	// TI structure.
 	prefixU, err := readU64(br)
 	if err != nil {
@@ -412,19 +409,22 @@ func Read(r io.Reader) (*Index, error) {
 		if lenU > uint64(n) {
 			return nil, fmt.Errorf("core: implausible TI cluster size %d", lenU)
 		}
-		members := make([]tiEntry, lenU)
-		eb := make([]byte, 8*lenU)
-		if _, err := io.ReadFull(br, eb); err != nil {
+		members, err := vec.ReadWords(br, int(lenU), 8, func(b []byte) tiEntry {
+			return tiEntry{
+				id:   int(binary.LittleEndian.Uint32(b)),
+				dist: math.Float32frombits(binary.LittleEndian.Uint32(b[4:])),
+			}
+		})
+		if err != nil {
 			return nil, err
-		}
-		for i := range members {
-			members[i].id = int(binary.LittleEndian.Uint32(eb[8*i:]))
-			members[i].dist = math.Float32frombits(binary.LittleEndian.Uint32(eb[8*i+4:]))
 		}
 		ti.clusters[c] = members
 	}
 	queryDim, err := readU64(br)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkLoaded(cfg, model, cb, codes, ti, queryDim); err != nil {
 		return nil, err
 	}
 	// The blocked layout is derived, not stored: rebuild it here so the
@@ -433,7 +433,7 @@ func Read(r io.Reader) (*Index, error) {
 	if cfg.ScanLayout == LayoutBlocked {
 		blocked = buildBlockedStore(cb, codes, ti)
 	}
-	return &Index{
+	ix := &Index{
 		cfg:      cfg,
 		model:    model,
 		ratios:   ratios,
@@ -451,7 +451,58 @@ func Read(r io.Reader) (*Index, error) {
 		// The diagnostics baseline and drift state are runtime-only too:
 		// a loaded index Diagnoses as Partial until retrained.
 		metrics: metrics.NewSized(m+1, m),
-	}, nil
+	}
+	ix.bindAttachments(nil)
+	return ix, nil
+}
+
+// checkLoaded rejects a decoded index whose parts disagree in ways the
+// query kernels would index out of range (or, for EACheckEvery, loop
+// forever) on: a stream only reaches the kernels once every shape, code
+// and cluster membership is consistent.
+func checkLoaded(cfg Config, model *pca.Model, cb *quantizer.Codebooks, codes *quantizer.Codes, ti *tiIndex, queryDim uint64) error {
+	d := model.Components.Rows
+	if d < 1 || model.Components.Cols != d || queryDim != uint64(d) || cb.Sub.Dim() != d ||
+		(model.Mean != nil && len(model.Mean) != d) {
+		return fmt.Errorf("core: inconsistent dimensions (components %dx%d, query %d, subspaces %d)",
+			model.Components.Rows, model.Components.Cols, queryDim, cb.Sub.Dim())
+	}
+	if cfg.EACheckEvery < 1 || cfg.EACheckEvery > 1<<20 {
+		return fmt.Errorf("core: implausible EACheckEvery %d", cfg.EACheckEvery)
+	}
+	for s, book := range cb.Books {
+		if book.Rows < 1 || book.Rows > 1<<16 || book.Cols != cb.Sub.Lengths[s] {
+			return fmt.Errorf("core: codebook %d has shape %dx%d for a %d-dim subspace", s, book.Rows, book.Cols, cb.Sub.Lengths[s])
+		}
+	}
+	for i, c := range codes.Data {
+		if s := i % codes.M; int(c) >= cb.Books[s].Rows {
+			return fmt.Errorf("core: vector %d code %d exceeds codebook %d size %d", i/codes.M, c, s, cb.Books[s].Rows)
+		}
+	}
+	prefixDim := 0
+	if ti.prefixSubspaces >= 1 && ti.prefixSubspaces <= cb.Sub.M() {
+		prefixDim = cb.Sub.Offsets[ti.prefixSubspaces-1] + cb.Sub.Lengths[ti.prefixSubspaces-1]
+	}
+	if prefixDim == 0 || ti.prefixDim != prefixDim || len(ti.clusters) != ti.centroids.Rows || len(ti.clusters) == 0 {
+		return fmt.Errorf("core: TI structure (%d clusters, %dx%d centroids, prefix %d subspaces) does not match the index",
+			len(ti.clusters), ti.centroids.Rows, ti.centroids.Cols, ti.prefixSubspaces)
+	}
+	seen := make([]bool, codes.N)
+	members := 0
+	for _, cl := range ti.clusters {
+		for _, e := range cl {
+			if e.id < 0 || e.id >= codes.N || seen[e.id] {
+				return fmt.Errorf("core: TI member id %d is out of range or repeated", e.id)
+			}
+			seen[e.id] = true
+		}
+		members += len(cl)
+	}
+	if members != codes.N {
+		return fmt.Errorf("core: TI clusters hold %d of %d vectors", members, codes.N)
+	}
+	return nil
 }
 
 // Save writes the index to a file.

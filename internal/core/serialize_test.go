@@ -128,3 +128,35 @@ func TestReadRejectsGarbage(t *testing.T) {
 		t.Fatal("bad version must fail")
 	}
 }
+
+// TestReadRejectsInconsistentIndex writes indexes whose parts disagree —
+// the corruptions that made the query kernels index out of range or spin
+// forever — and checks Read refuses each one.
+func TestReadRejectsInconsistentIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	x := skewedData(rng, 100, 8, 1.0)
+	cases := map[string]func(ix *Index){
+		"EACheckEvery 0":      func(ix *Index) { ix.cfg.EACheckEvery = 0 },
+		"EACheckEvery huge":   func(ix *Index) { ix.cfg.EACheckEvery = 1 << 62 },
+		"code past codebook":  func(ix *Index) { ix.codes.Data[3] = uint16(ix.cb.Books[1].Rows) },
+		"TI id out of range":  func(ix *Index) { ix.ti.clusters[0][0].id = ix.n + 7 },
+		"TI id repeated":      func(ix *Index) { ix.ti.clusters[0][0].id = ix.ti.clusters[1][0].id },
+		"TI member missing":   func(ix *Index) { ix.ti.clusters[0] = ix.ti.clusters[0][1:] },
+		"query dim mismatch":  func(ix *Index) { ix.queryDim++ },
+		"TI prefix past subs": func(ix *Index) { ix.ti.prefixSubspaces = ix.cb.Sub.M() + 1 },
+	}
+	for name, corrupt := range cases {
+		ix, err := Build(x, x, Config{NumSubspaces: 2, Budget: 8, Seed: 29, TIClusters: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(ix)
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Read(&buf); err == nil {
+			t.Errorf("%s: Read accepted the index", name)
+		}
+	}
+}

@@ -250,9 +250,7 @@ func (t *Trained) encodeIndex(data, dataZ *vec.Matrix) (*Index, error) {
 		ix.retained = dataZ
 		ix.recallEvery = sampleStride(cfg.RecallSampleRate)
 	}
-	if cfg.SLO != nil && reg != nil {
-		reg.ConfigureSLO(*cfg.SLO, ix.sloBreach)
-	}
+	ix.bindAttachments(cfg.SLO)
 	ix.initDiagnostics(baseRep)
 	ix.SetProfileLabel("vaq")
 	if cfg.Logger != nil {

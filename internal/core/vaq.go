@@ -10,15 +10,12 @@ import (
 	"sync"
 
 	"vaq/internal/alert"
-	"vaq/internal/bundle"
 	"vaq/internal/diag"
-	"vaq/internal/history"
 	"vaq/internal/metrics"
+	"vaq/internal/observe"
 	"vaq/internal/pca"
 	"vaq/internal/quantizer"
-	"vaq/internal/trace"
 	"vaq/internal/vec"
-	"vaq/internal/workload"
 )
 
 // Config holds all VAQ build parameters (Algorithm 5 inputs).
@@ -166,23 +163,11 @@ type Index struct {
 	queryDim int
 	metrics  *metrics.IndexMetrics
 	report   metrics.BuildReport
-	// tracer, when set, hands every newly created or pool-checked-out
-	// Searcher a span recorder; atomic so EnableTracing is safe while
-	// queries are in flight (in-flight Searchers keep their current
-	// recorder).
-	tracer atomic.Pointer[trace.Tracer]
-	// capture, when set, receives a sampled fraction of queries (vector,
-	// options, results, latency) for workload replay; atomic for the same
-	// reason as tracer. Off = one pointer load per query.
-	capture atomic.Pointer[workload.Capture]
-	// flight is the armed incident recorder (EnableFlightRecorder); atomic
-	// for the same reason as tracer. The query path never touches it — it
-	// subscribes to the metrics alert bus instead.
-	flight atomic.Pointer[bundle.Recorder]
-	// hist is the armed metrics history collector (EnableHistory); atomic
-	// for the same reason as tracer. Samples on its own goroutine — the
-	// query path never touches it.
-	hist atomic.Pointer[history.Collector]
+	// Attachments owns the runtime observers (tracer, workload capture,
+	// flight recorder, history collector). Pooled Searchers pick up its
+	// tracer at checkout, and the query path reads the tracer and the
+	// capture with one atomic load each.
+	observe.Attachments
 	// retained holds the projected dataset rows for the shadow-exact
 	// recall estimator (nil unless RecallSampleRate > 0); recallEvery is
 	// the sampling stride and recallCtr the query counter driving it.
@@ -320,24 +305,6 @@ func (ix *Index) Metrics() *metrics.IndexMetrics { return ix.metrics }
 // (deserialized) indexes report zero durations: the report describes a
 // Build call, not the index state.
 func (ix *Index) BuildReport() metrics.BuildReport { return ix.report }
-
-// EnableTracing installs a fresh per-query span tracer built from cfg and
-// returns it. Searchers created afterwards, and pooled ones at their next
-// checkout (AcquireSearcher, behind Index.Search/SearchWith), record a
-// QueryTrace per query; Searchers created earlier with NewSearcher keep
-// running untraced. Safe to call while queries are in flight.
-func (ix *Index) EnableTracing(cfg trace.Config) *trace.Tracer {
-	t := trace.New(cfg)
-	ix.tracer.Store(t)
-	return t
-}
-
-// DisableTracing detaches the index tracer; pooled Searchers drop their
-// recorders at their next checkout, others keep them until replaced.
-func (ix *Index) DisableTracing() { ix.tracer.Store(nil) }
-
-// Tracer returns the active tracer, or nil when tracing is disabled.
-func (ix *Index) Tracer() *trace.Tracer { return ix.tracer.Load() }
 
 // SetLogger replaces the structured logger used by Add and WriteTo —
 // the hook for indexes loaded from disk, whose on-disk config carries no

@@ -4,7 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"log/slog"
+	"time"
 
+	"vaq/internal/diag"
+	"vaq/internal/metrics"
+	"vaq/internal/observe"
 	"vaq/internal/vec"
 	"vaq/internal/workload"
 )
@@ -69,46 +74,40 @@ func (ix *Index) ConfigFingerprint() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// EnableCapture installs a workload capture buffer and returns it. From the
-// next query on, every sampled search (deterministic stride, like the
-// recall estimator) appends its query, options, result list and latency to
-// the buffer; Snapshot on the returned Capture yields a serializable Log.
-// cfg.Fingerprint and cfg.Dim are filled in from the index. Safe to call
-// while queries are in flight; off by default, and when off the query path
-// pays one atomic pointer load.
-func (ix *Index) EnableCapture(cfg workload.Config) *workload.Capture {
-	cfg.Fingerprint = ix.ConfigFingerprint()
-	cfg.Dim = ix.queryDim
-	c := workload.NewCapture(cfg)
-	ix.capture.Store(c)
-	return c
+// bindAttachments binds the runtime observers to this index; slo, when
+// set, is the Build-time Config.SLO (loaded indexes pass nil: SLOs are
+// runtime-only).
+func (ix *Index) bindAttachments(slo *metrics.SLO) {
+	ix.Bind(observe.Descriptor{
+		Metrics:     ix.metrics,
+		Fingerprint: ix.ConfigFingerprint,
+		Dim:         ix.queryDim,
+		Reports:     func() []*diag.Report { return []*diag.Report{ix.Diagnose()} },
+		Logger:      func() *slog.Logger { return ix.cfg.Logger },
+		SLO:         slo,
+	})
 }
 
-// DisableCapture detaches the capture buffer; records already stored stay
-// readable through the Capture returned by EnableCapture.
-func (ix *Index) DisableCapture() { ix.capture.Store(nil) }
-
-// Capture returns the active workload capture, or nil when capture is off.
-func (ix *Index) Capture() *workload.Capture { return ix.capture.Load() }
-
-// ReplayRunner adapts one reusable Searcher to the workload replay engine:
-// raw-captured queries go through the full Search path (projection
-// included), projected captures through SearchProjected.
+// ReplayRunner adapts one reusable Searcher to the workload replay engine.
 func (ix *Index) ReplayRunner() workload.RunFunc {
 	s := ix.newSearcher()
+	return Runner(s.Search, s.SearchProjected)
+}
+
+// Runner adapts a query path to the workload replay engine: raw-captured
+// queries go through search (projection included), projected captures
+// through searchProjected. Both index types replay through it.
+func Runner(search, searchProjected func([]float32, int, SearchOptions) ([]vec.Neighbor, error)) workload.RunFunc {
 	return func(r *workload.Record) ([]int32, []float32, error) {
-		opt := SearchOptions{
+		run := search
+		if r.Projected {
+			run = searchProjected
+		}
+		res, err := run(r.Query, int(r.K), SearchOptions{
 			Mode:      SearchMode(r.Mode),
 			VisitFrac: r.VisitFrac,
 			Subspaces: int(r.Subspaces),
-		}
-		var res []vec.Neighbor
-		var err error
-		if r.Projected {
-			res, err = s.SearchProjected(r.Query, int(r.K), opt)
-		} else {
-			res, err = s.Search(r.Query, int(r.K), opt)
-		}
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -122,17 +121,18 @@ func (ix *Index) ReplayRunner() workload.RunFunc {
 	}
 }
 
-// captureQuery files one sampled query into the capture buffer. qz is the
-// projected query run executed; the raw query (when the search came in
-// unprojected) is preferred so a replay can target a rebuild with a
-// different PCA rotation.
-func (s *Searcher) captureQuery(c *workload.Capture, qz []float32, k int, opt SearchOptions, res []vec.Neighbor, lat int64, traceSeq uint64) {
-	q, projected := s.rawQ, false
+// CaptureQuery files one sampled query into c. qz is the projected query
+// the search ran; rawQ, the caller's unprojected query (nil when the
+// search came in projected), is preferred so a replay can target a
+// rebuild with a different PCA rotation. On a sharded index res is the
+// merged global result list.
+func CaptureQuery(c *workload.Capture, qz, rawQ []float32, k int, opt SearchOptions, res []vec.Neighbor, lat time.Duration, traceSeq uint64) {
+	q, projected := rawQ, false
 	if q == nil {
 		q, projected = qz, true
 	}
 	r := &workload.Record{
-		LatencyNs: lat,
+		LatencyNs: lat.Nanoseconds(),
 		TraceSeq:  traceSeq,
 		K:         int32(k),
 		Mode:      int32(opt.Mode),

@@ -10,7 +10,7 @@ import (
 	"os"
 
 	"vaq/internal/core"
-	"vaq/internal/metrics"
+	"vaq/internal/vec"
 )
 
 // Sharded container format ("VAQS", version 1): a thin envelope around
@@ -132,7 +132,6 @@ func ReadLogged(r io.Reader, logger *slog.Logger) (*Index, error) {
 	x := &Index{
 		opts:   Options{Shards: int(shards), Policy: Policy(policy)},
 		states: make([]*shardState, shards),
-		logger: logger,
 	}
 	x.nextID.Store(int64(nextID))
 	for si := range x.states {
@@ -143,7 +142,11 @@ func ReadLogged(r io.Reader, logger *slog.Logger) (*Index, error) {
 		if idLen > maxReasonableIDSlices {
 			return nil, fmt.Errorf("shard %d: implausible id count %d", si, idLen)
 		}
-		ids, err := readIDs(r, idLen)
+		// Read in bounded chunks: a hostile id count costs memory only as
+		// fast as the stream delivers ids.
+		ids, err := vec.ReadWords(r, int(idLen), 4, func(b []byte) int32 {
+			return int32(binary.LittleEndian.Uint32(b))
+		})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: reading id mapping: %w", si, err)
 		}
@@ -177,36 +180,8 @@ func ReadLogged(r io.Reader, logger *slog.Logger) (*Index, error) {
 			return nil, fmt.Errorf("shard %d: dim %d != shard 0 dim %d", si+1, st.ix.Dim(), x.dim)
 		}
 	}
-	m := x.states[0].ix.Codebooks().Sub.M()
-	x.reg = metrics.NewSized(m+1, m)
+	x.initTelemetry(true, nil, logger)
 	return x, nil
-}
-
-// readIDs reads n little-endian int32 ids in bounded chunks, so a corrupt
-// or hostile length field cannot force a huge up-front allocation: memory
-// grows only as fast as the stream actually delivers bytes, and a short
-// stream fails at the first missing chunk.
-func readIDs(r io.Reader, n uint64) ([]int32, error) {
-	const chunk = 1 << 20 // entries per read (4 MiB of trust at a time)
-	c := n
-	if c > chunk {
-		c = chunk
-	}
-	ids := make([]int32, 0, c)
-	buf := make([]int32, c)
-	for n > 0 {
-		c = n
-		if c > chunk {
-			c = chunk
-		}
-		b := buf[:c]
-		if err := binary.Read(r, binary.LittleEndian, b); err != nil {
-			return nil, err
-		}
-		ids = append(ids, b...)
-		n -= c
-	}
-	return ids, nil
 }
 
 // monotone reports whether the id mapping is strictly increasing (the

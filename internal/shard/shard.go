@@ -32,11 +32,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vaq/internal/bundle"
 	"vaq/internal/core"
 	"vaq/internal/diag"
-	"vaq/internal/history"
 	"vaq/internal/metrics"
+	"vaq/internal/observe"
 	"vaq/internal/trace"
 	"vaq/internal/vec"
 	"vaq/internal/workload"
@@ -110,22 +109,12 @@ type Index struct {
 	// query (per-shard pruning stats summed, latency measured around the
 	// whole scatter-gather). The per-shard registries stay live for
 	// per-shard publishing. nil under DisableMetrics.
-	reg    *metrics.IndexMetrics
-	logger *slog.Logger
-	// tracer, when set (EnableTracing/AttachTracer), files one parent
-	// QueryTrace per sharded query with per-shard wait/scan child spans
-	// and bound-feedback events. capture, when set (EnableCapture),
-	// samples merged queries into a replayable workload log. Both are
-	// atomic so they can be toggled while queries are in flight; off,
-	// each costs the hot path one pointer load.
-	tracer  atomic.Pointer[trace.Tracer]
-	capture atomic.Pointer[workload.Capture]
-	// flight is the armed incident recorder (EnableFlightRecorder); the
-	// scatter path never touches it — it subscribes to reg's alert bus.
-	flight atomic.Pointer[bundle.Recorder]
-	// hist is the armed metrics history collector (EnableHistory),
-	// sampling the merged and per-shard registries on its own goroutine.
-	hist atomic.Pointer[history.Collector]
+	reg *metrics.IndexMetrics
+	// Attachments owns the runtime observers. A tracer files one parent
+	// QueryTrace per sharded query with per-shard wait/scan child spans and
+	// bound-feedback events; a capture samples merged queries into a
+	// replayable workload log. Off, each costs the scatter path one load.
+	observe.Attachments
 }
 
 // Build trains once on train (falling back to data) and encodes S
@@ -203,19 +192,9 @@ func Build(train, data *vec.Matrix, cfg core.Config, opts Options) (*Index, erro
 			return nil, err
 		}
 	}
-	x := &Index{opts: opts, dim: data.Cols, states: states, logger: cfg.Logger}
+	x := &Index{opts: opts, dim: data.Cols, states: states}
 	x.nextID.Store(int64(data.Rows))
-	if !cfg.DisableMetrics {
-		m := states[0].ix.Codebooks().Sub.M()
-		x.reg = metrics.NewSized(m+1, m)
-		if cfg.SLO != nil {
-			x.reg.ConfigureSLO(*cfg.SLO, x.sloBreach)
-		}
-		x.reg.ConfigureSharded(metrics.ShardedConfig{
-			Shards:         s,
-			SkewAlertRatio: opts.SkewAlertRatio,
-		}, x.skewBreach)
-	}
+	x.initTelemetry(!cfg.DisableMetrics, cfg.SLO, cfg.Logger)
 	if cfg.Logger != nil {
 		cfg.Logger.Info("vaq.shard.build",
 			slog.Int("n", data.Rows), slog.Int("shards", s),
@@ -251,77 +230,31 @@ func stripeIDs(si, s, rows int) []int32 {
 	return ids
 }
 
-// sloBreach surfaces merged-registry SLO budget exhaustion through the
-// structured logger, mirroring the single-index event.
-func (x *Index) sloBreach(kind string, remaining, burn float64) {
-	if x.logger == nil {
-		return
+// initTelemetry creates the merged registry (when metricsOn) with its
+// scatter telemetry, slo and Options.SkewAlertRatio wired to the vaq.slo
+// and vaq.skew events, and binds the runtime observers. Build and
+// ReadLogged both call it; a loaded index passes no SLO and carries a 0
+// ratio, both being runtime-only.
+func (x *Index) initTelemetry(metricsOn bool, slo *metrics.SLO, logger *slog.Logger) {
+	if metricsOn {
+		m := x.states[0].ix.Codebooks().Sub.M()
+		x.reg = metrics.NewSized(m+1, m)
 	}
-	x.logger.Warn("vaq.slo",
-		slog.String("objective", kind),
-		slog.Float64("budget_remaining", remaining),
-		slog.Float64("burn_rate", burn),
-		slog.Int("shards", len(x.states)))
-}
-
-// skewBreach surfaces the merged registry's windowed shard-skew alert
-// through the structured logger, mirroring the drift and SLO events.
-func (x *Index) skewBreach(skew, imbalance float64, criticalShard int) {
-	if x.logger == nil {
-		return
+	parts := make([]*metrics.IndexMetrics, len(x.states))
+	for i, st := range x.states {
+		parts[i] = st.ix.Metrics()
 	}
-	x.logger.Warn("vaq.skew",
-		slog.Float64("skew_ratio", skew),
-		slog.Float64("load_imbalance", imbalance),
-		slog.Int("critical_shard", criticalShard),
-		slog.Int("shards", len(x.states)))
+	x.Bind(observe.Descriptor{
+		Metrics:        x.reg,
+		Fingerprint:    x.ConfigFingerprint,
+		Dim:            x.dim,
+		Shards:         parts,
+		Reports:        x.Diagnose,
+		Logger:         func() *slog.Logger { return logger },
+		SLO:            slo,
+		SkewAlertRatio: x.opts.SkewAlertRatio,
+	})
 }
-
-// EnableTracing installs a fresh per-query tracer built from cfg and
-// returns it. From the next query on, every sharded search files one
-// parent QueryTrace: a wait and a scan span per shard (the scan span
-// carries that shard's TI/EA/lookup attribution), one bound-feedback
-// event per cross-shard bound tightening, and a trailing merge span.
-// Disabled, tracing costs the scatter path one pointer check.
-func (x *Index) EnableTracing(cfg trace.Config) *trace.Tracer {
-	t := trace.New(cfg)
-	x.tracer.Store(t)
-	return t
-}
-
-// DisableTracing detaches the tracer; in-flight queries may still file
-// one last trace.
-func (x *Index) DisableTracing() { x.tracer.Store(nil) }
-
-// Tracer returns the active tracer, or nil when tracing is disabled.
-func (x *Index) Tracer() *trace.Tracer { return x.tracer.Load() }
-
-// AttachTracer points the scatter path at an existing tracer (nil
-// detaches), so a caller can aggregate several indexes into one ring.
-func (x *Index) AttachTracer(t *trace.Tracer) { x.tracer.Store(t) }
-
-// EnableCapture installs a workload capture buffer on the merged query
-// path and returns it. Sampled queries record the merged global result
-// list — the scatter-gather ground truth — with the sharded config
-// fingerprint and shard count in the log's provenance, so a replay can
-// gate merge correctness across different shard counts. Off by default;
-// off, the scatter path pays one pointer load.
-func (x *Index) EnableCapture(cfg workload.Config) *workload.Capture {
-	cfg.Fingerprint = x.ConfigFingerprint()
-	cfg.Dim = x.dim
-	cfg.Shards = len(x.states)
-	c := workload.NewCapture(cfg)
-	x.capture.Store(c)
-	return c
-}
-
-// DisableCapture detaches the capture buffer; records already stored stay
-// readable through the Capture returned by EnableCapture.
-func (x *Index) DisableCapture() { x.capture.Store(nil) }
-
-// Capture returns the active workload capture, or nil when capture is
-// off.
-func (x *Index) Capture() *workload.Capture { return x.capture.Load() }
 
 // Len reports the total number of encoded vectors across all shards.
 func (x *Index) Len() int { return int(x.nextID.Load()) }
@@ -530,8 +463,8 @@ func (g *gatherState) recordBoundEvent(si int, b float32, at time.Duration) {
 }
 
 func (x *Index) searchProjected(qz, rawQ []float32, k int, opt core.SearchOptions) ([]vec.Neighbor, error) {
-	tr := x.tracer.Load()
-	wcap := x.capture.Load()
+	tr := x.Tracer()
+	wcap := x.Capture()
 	// Any observer needs the per-shard clocks; with all three off the
 	// scatter path takes no timestamps at all.
 	observed := x.reg != nil || tr != nil || wcap != nil
@@ -647,15 +580,7 @@ func (x *Index) searchProjected(qz, rawQ []float32, k int, opt core.SearchOption
 	if x.reg != nil {
 		g.stats.AbandonDepths = g.depths
 		g.stats.TISkipsByRank = g.ranks
-		x.reg.RecordSearch(metrics.SearchRecord{
-			ClustersVisited:  g.stats.ClustersVisited,
-			CodesConsidered:  g.stats.CodesConsidered,
-			CodesSkippedTI:   g.stats.CodesSkippedTI,
-			CodesAbandonedEA: g.stats.CodesAbandonedEA,
-			Lookups:          g.stats.Lookups,
-			AbandonDepths:    g.stats.AbandonDepths,
-			TISkipsByRank:    g.stats.TISkipsByRank,
-		}, time.Since(start))
+		x.reg.RecordSearch(g.stats.Record(), time.Since(start))
 		lat := make([]int64, s)
 		for si := range times {
 			lat[si] = (times[si].done - times[si].pickup).Nanoseconds()
@@ -667,7 +592,7 @@ func (x *Index) searchProjected(qz, rawQ []float32, k int, opt core.SearchOption
 		traceSeq = x.fileTrace(tr, start, times, g, mergeStart, mergeEnd, k, opt, hits)
 	}
 	if wcap.ShouldSample() {
-		x.captureQuery(wcap, qz, rawQ, k, opt, res, time.Since(start), traceSeq)
+		core.CaptureQuery(wcap, qz, rawQ, k, opt, res, time.Since(start), traceSeq)
 	}
 	return res, nil
 }
@@ -759,35 +684,6 @@ func (x *Index) fileTrace(tr *trace.Tracer, start time.Time, times []shardTiming
 		CodesAbandonedEA: g.stats.CodesAbandonedEA,
 		Lookups:          g.stats.Lookups,
 	})
-}
-
-// captureQuery files one sampled sharded query into the workload capture:
-// the merged global result list is the recorded ground truth, so a replay
-// gates the whole scatter-gather (including the merge) and stays
-// comparable across rebuilds with different shard counts.
-func (x *Index) captureQuery(c *workload.Capture, qz, rawQ []float32, k int,
-	opt core.SearchOptions, res []vec.Neighbor, lat time.Duration, traceSeq uint64) {
-	q, projected := rawQ, false
-	if q == nil {
-		q, projected = qz, true
-	}
-	r := &workload.Record{
-		LatencyNs: lat.Nanoseconds(),
-		TraceSeq:  traceSeq,
-		K:         int32(k),
-		Mode:      int32(opt.Mode),
-		VisitFrac: opt.VisitFrac,
-		Subspaces: int32(opt.Subspaces),
-		Projected: projected,
-		Query:     append([]float32(nil), q...),
-		IDs:       make([]int32, len(res)),
-		Dists:     make([]float32, len(res)),
-	}
-	for i, nb := range res {
-		r.IDs[i] = int32(nb.ID)
-		r.Dists[i] = nb.Dist
-	}
-	c.Add(r)
 }
 
 // boundSet flags a published cross-shard bound: the low 32 bits hold the
@@ -910,29 +806,4 @@ func (x *Index) ConfigFingerprint() string {
 
 // ReplayRunner adapts the sharded index to the workload replay engine, so
 // capture-replay gates cover the scatter-gather merge path.
-func (x *Index) ReplayRunner() workload.RunFunc {
-	return func(r *workload.Record) ([]int32, []float32, error) {
-		opt := core.SearchOptions{
-			Mode:      core.SearchMode(r.Mode),
-			VisitFrac: r.VisitFrac,
-			Subspaces: int(r.Subspaces),
-		}
-		var res []vec.Neighbor
-		var err error
-		if r.Projected {
-			res, err = x.SearchProjected(r.Query, int(r.K), opt)
-		} else {
-			res, err = x.Search(r.Query, int(r.K), opt)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		ids := make([]int32, len(res))
-		dists := make([]float32, len(res))
-		for i, nb := range res {
-			ids[i] = int32(nb.ID)
-			dists[i] = nb.Dist
-		}
-		return ids, dists, nil
-	}
-}
+func (x *Index) ReplayRunner() workload.RunFunc { return core.Runner(x.Search, x.SearchProjected) }

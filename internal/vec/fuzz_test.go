@@ -2,8 +2,30 @@ package vec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
+
+// TestReadMatrixHostileShapeAllocatesLittle feeds a header claiming a
+// 2^39-element matrix (inside the shape bound) with no body: the read
+// must fail without allocating for the claimed size.
+func TestReadMatrixHostileShapeAllocatesLittle(t *testing.T) {
+	hdr := append([]byte(nil), magicMatrix[:]...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1<<20)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1<<19)
+	hdr = append(hdr, make([]byte, 64)...) // a little body, far short
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMatrix(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated hostile matrix accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("ReadMatrix allocated %d bytes before failing, want < 1 MiB", got)
+	}
+}
 
 // FuzzReadMatrix ensures the deserializer never panics or over-allocates
 // on corrupt input — it must fail cleanly or produce a valid matrix.

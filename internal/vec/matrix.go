@@ -201,20 +201,37 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 	if rows < 0 || cols < 0 || (cols != 0 && rows > (1<<40)/cols) {
 		return nil, fmt.Errorf("vec: implausible matrix shape %dx%d", rows, cols)
 	}
-	m := NewMatrix(rows, cols)
-	buf := make([]byte, 4*8192)
-	for off := 0; off < len(m.Data); {
-		chunk := len(m.Data) - off
-		if chunk > 8192 {
-			chunk = 8192
-		}
-		if _, err := io.ReadFull(r, buf[:4*chunk]); err != nil {
-			return nil, fmt.Errorf("vec: reading matrix body: %w", err)
-		}
-		for i := 0; i < chunk; i++ {
-			m.Data[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-		off += chunk
+	data, err := ReadWords(r, rows*cols, 4, func(b []byte) float32 {
+		return math.Float32frombits(binary.LittleEndian.Uint32(b))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("vec: reading matrix body: %w", err)
 	}
-	return m, nil
+	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
+}
+
+// ReadWords reads n fixed-width words of size bytes each from r, decoding
+// each with dec. Memory grows only as fast as r delivers bytes (32 KiB
+// reads, capacity doubling up to exactly n), so a corrupt or hostile
+// count cannot force a large allocation before the data arrives.
+func ReadWords[T any](r io.Reader, n, size int, dec func([]byte) T) ([]T, error) {
+	const chunkBytes = 32 << 10
+	per := chunkBytes / size
+	out := make([]T, 0, min(n, per))
+	buf := make([]byte, min(n, per)*size)
+	for len(out) < n {
+		k := min(n-len(out), per)
+		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
+			return nil, err
+		}
+		if len(out)+k > cap(out) {
+			grown := make([]T, len(out), min(n, 2*cap(out)+k))
+			copy(grown, out)
+			out = grown
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, dec(buf[i*size:]))
+		}
+	}
+	return out, nil
 }

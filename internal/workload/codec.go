@@ -148,15 +148,18 @@ func ReadLog(rd io.Reader) (*Log, error) {
 	if cr.err != nil {
 		return nil, fmt.Errorf("workload: reading header: %w", cr.err)
 	}
+	// Records, queries and result lists grow by append as they decode, so
+	// a hostile count or length costs memory only as fast as the stream
+	// delivers the bytes it claims.
 	l := &Log{
 		Version:     version,
 		Fingerprint: string(fp),
 		Dim:         dim,
 		Shards:      shards,
-		Records:     make([]Record, count),
+		Records:     make([]Record, 0, min(count, 1024)),
 	}
-	for i := range l.Records {
-		r := &l.Records[i]
+	for i := 0; i < count; i++ {
+		var r Record
 		r.OffsetNs = int64(cr.u64())
 		r.LatencyNs = int64(cr.u64())
 		r.TraceSeq = cr.u64()
@@ -169,33 +172,29 @@ func ReadLog(rd io.Reader) (*Log, error) {
 		if cr.err == nil && qlen > maxVecLen {
 			return nil, fmt.Errorf("workload: record %d query length %d too large", i, qlen)
 		}
-		if cr.err != nil {
-			return nil, fmt.Errorf("workload: reading record %d: %w", i, cr.err)
-		}
-		r.Query = make([]float32, qlen)
-		for j := range r.Query {
-			r.Query[j] = math.Float32frombits(cr.u32())
-		}
+		r.Query = words(cr, qlen, math.Float32frombits)
 		nres := int(cr.u32())
 		if cr.err == nil && nres > maxVecLen {
 			return nil, fmt.Errorf("workload: record %d result count %d too large", i, nres)
 		}
+		r.IDs = words(cr, nres, func(v uint32) int32 { return int32(v) })
+		r.Dists = words(cr, nres, math.Float32frombits)
 		if cr.err != nil {
 			return nil, fmt.Errorf("workload: reading record %d: %w", i, cr.err)
 		}
-		r.IDs = make([]int32, nres)
-		r.Dists = make([]float32, nres)
-		for j := range r.IDs {
-			r.IDs[j] = int32(cr.u32())
-		}
-		for j := range r.Dists {
-			r.Dists[j] = math.Float32frombits(cr.u32())
-		}
-		if cr.err != nil {
-			return nil, fmt.Errorf("workload: reading record %d: %w", i, cr.err)
-		}
+		l.Records = append(l.Records, r)
 	}
 	return l, nil
+}
+
+// words decodes n little-endian 32-bit words through conv, appending as
+// they arrive (stops early once the reader has failed).
+func words[T any](cr *reader, n int, conv func(uint32) T) []T {
+	out := make([]T, 0, min(n, 1024))
+	for len(out) < n && cr.err == nil {
+		out = append(out, conv(cr.u32()))
+	}
+	return out
 }
 
 // Save writes the log to path atomically enough for tooling (temp-free

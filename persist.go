@@ -1,7 +1,6 @@
 package vaq
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 
@@ -17,11 +16,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 
 // Read deserializes an index written by WriteTo.
 func Read(r io.Reader) (*Index, error) {
-	inner, err := core.Read(r)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &Index{inner: inner}, nil
+	return wrapIndex(core.Read(r))
 }
 
 // ReadLogged is Read with structured logging: the load is logged to l and
@@ -29,11 +24,7 @@ func Read(r io.Reader) (*Index, error) {
 // serialized streams carry no logger, it is a runtime knob. nil l behaves
 // exactly like Read.
 func ReadLogged(r io.Reader, l *slog.Logger) (*Index, error) {
-	inner, err := core.ReadLogged(r, l)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &Index{inner: inner}, nil
+	return wrapIndex(core.ReadLogged(r, l))
 }
 
 // SetLogger replaces the structured logger used by the maintenance paths
@@ -47,9 +38,5 @@ func (ix *Index) Save(path string) error {
 
 // Load reads an index from a file.
 func Load(path string) (*Index, error) {
-	inner, err := core.Load(path)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &Index{inner: inner}, nil
+	return wrapIndex(core.Load(path))
 }

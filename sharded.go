@@ -1,26 +1,13 @@
 package vaq
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
-	"sync"
 
-	"vaq/internal/core"
 	"vaq/internal/shard"
 	"vaq/internal/vec"
-	"vaq/internal/workload"
 )
-
-func coreOptions(opt SearchOptions) core.SearchOptions {
-	return core.SearchOptions{
-		Mode:      opt.Mode,
-		VisitFrac: opt.VisitFrac,
-		Subspaces: opt.Subspaces,
-	}
-}
 
 // ShardPolicy selects how a sharded index routes Add batches to shards.
 type ShardPolicy = shard.Policy
@@ -45,6 +32,15 @@ const (
 // contend when they land on the same shard.
 type ShardedIndex struct {
 	inner *shard.Index
+	observed
+}
+
+// wrapSharded wraps a shard index, or its error, for the public API.
+func wrapSharded(inner *shard.Index, err error) (*ShardedIndex, error) {
+	if err != nil {
+		return nil, fmt.Errorf("vaq: %w", err)
+	}
+	return &ShardedIndex{inner: inner, observed: observed{&inner.Attachments, inner}}, nil
 }
 
 // BuildSharded trains one model over data and encodes it across
@@ -76,15 +72,11 @@ func buildShardedMatrices(train, data *vec.Matrix, cfg Config) (*ShardedIndex, e
 	if s < 1 {
 		s = 1
 	}
-	inner, err := shard.Build(train, data, cfg.toCore(), shard.Options{
+	return wrapSharded(shard.Build(train, data, cfg.toCore(), shard.Options{
 		Shards:         s,
 		Policy:         cfg.ShardPolicy,
 		SkewAlertRatio: cfg.ShardSkewAlertRatio,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &ShardedIndex{inner: inner}, nil
+	}))
 }
 
 // Len reports the total number of encoded vectors across all shards.
@@ -123,43 +115,9 @@ func (ix *ShardedIndex) SearchWith(q []float32, k int, opt SearchOptions) ([]Res
 // rejected up front, per-query faults keep their slot nil and come back
 // joined.
 func (ix *ShardedIndex) SearchBatch(queries [][]float32, k int, opt SearchOptions, workers int) ([][]Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("vaq: k must be >= 1, got %d", k)
-	}
-	n := len(queries)
-	out := make([][]Result, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	qErrs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for qi := range next {
-				res, err := ix.SearchWith(queries[qi], k, opt)
-				if err != nil {
-					qErrs[qi] = fmt.Errorf("vaq: query %d: %w", qi, err)
-					continue
-				}
-				out[qi] = res
-			}
-		}()
-	}
-	for qi := 0; qi < n; qi++ {
-		next <- qi
-	}
-	close(next)
-	wg.Wait()
-	return out, errors.Join(qErrs...)
+	return searchBatch(queries, k, workers, func() (func([]float32) ([]Result, error), func()) {
+		return func(q []float32) ([]Result, error) { return ix.SearchWith(q, k, opt) }, nil
+	})
 }
 
 // Add encodes new vectors into one shard chosen by the assignment policy
@@ -205,65 +163,9 @@ func (ix *ShardedIndex) PublishExpvar(name string) { ix.inner.PublishExpvar(name
 // name/shard-i for GET /debug/vaq/report?index=....
 func (ix *ShardedIndex) PublishDiagnostics(name string) { ix.inner.PublishDiagnostics(name) }
 
-// ConfigFingerprint is the stable short hash identifying the
-// search-relevant configuration. With one shard it equals the unsharded
-// fingerprint (the degenerate case answers bit-identically); with more it
-// derives a sharded fingerprint from it.
-func (ix *ShardedIndex) ConfigFingerprint() string { return ix.inner.ConfigFingerprint() }
-
-// EnableTracing installs a fresh per-query tracer on the sharded index
-// and returns it. From the next query on, every search files one parent
-// QueryTrace whose spans carry a Shard id: per shard a SpanShardWait
-// (queue delay on the scatter worker pool) and a SpanShardScan (the
-// shard's whole search with its TI/EA/lookup attribution and final top-k
-// hits inline), one SpanBoundFeedback per cross-shard bound tightening
-// (crediting the prunes it enabled downstream), and a trailing
-// SpanShardMerge. Disabled, tracing costs the scatter path one pointer
-// check per query.
-func (ix *ShardedIndex) EnableTracing(cfg TraceConfig) *Tracer {
-	return ix.inner.EnableTracing(cfg)
-}
-
-// DisableTracing detaches the sharded index's tracer; queries already in
-// flight may still file one last trace.
-func (ix *ShardedIndex) DisableTracing() { ix.inner.DisableTracing() }
-
-// Tracer returns the active tracer, or nil when tracing is disabled.
-func (ix *ShardedIndex) Tracer() *Tracer { return ix.inner.Tracer() }
-
 // AttachTracer points the sharded query path at an existing tracer (nil
 // detaches), so several indexes can aggregate into one ring.
 func (ix *ShardedIndex) AttachTracer(t *Tracer) { ix.inner.AttachTracer(t) }
-
-// EnableCapture installs a workload capture buffer on the merged query
-// path and returns it. Sampled queries record the merged global result
-// list — the scatter-gather ground truth — and the log's provenance
-// carries the sharded config fingerprint and the shard count, so a replay
-// can gate merge correctness across rebuilds with different Shards
-// values. Off by default; off, the scatter path pays one pointer load.
-func (ix *ShardedIndex) EnableCapture(cfg CaptureConfig) *WorkloadCapture {
-	return ix.inner.EnableCapture(cfg)
-}
-
-// DisableCapture detaches the capture buffer; records already stored stay
-// readable through the WorkloadCapture EnableCapture returned.
-func (ix *ShardedIndex) DisableCapture() { ix.inner.DisableCapture() }
-
-// Capture returns the active workload capture, or nil when capture is
-// off.
-func (ix *ShardedIndex) Capture() *WorkloadCapture { return ix.inner.Capture() }
-
-// ReplayWorkload re-runs a captured workload log through the sharded
-// scatter-gather path and diffs the merged answers against the recorded
-// ones — the merge-correctness gate: a log captured on an unsharded index
-// replayed here measures exactly how far sharded merging diverges.
-func (ix *ShardedIndex) ReplayWorkload(l *WorkloadLog, opt ReplayOptions) (*ReplayReport, []ReplayQueryDiff, error) {
-	rep, diffs, err := workload.Replay(l, ix.inner.ReplayRunner(), opt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("vaq: %w", err)
-	}
-	return rep, diffs, nil
-}
 
 // WriteTo serializes the sharded index: a "VAQS" envelope (shard count,
 // assignment policy, id mappings) around one versioned single-index
@@ -276,11 +178,7 @@ func ReadSharded(r io.Reader) (*ShardedIndex, error) { return ReadShardedLogged(
 // ReadShardedLogged is ReadSharded with a structured logger attached to
 // the loaded index's maintenance paths. nil behaves like ReadSharded.
 func ReadShardedLogged(r io.Reader, l *slog.Logger) (*ShardedIndex, error) {
-	inner, err := shard.ReadLogged(r, l)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &ShardedIndex{inner: inner}, nil
+	return wrapSharded(shard.ReadLogged(r, l))
 }
 
 // Save writes the sharded index to a file (atomic rename).
@@ -288,9 +186,5 @@ func (ix *ShardedIndex) Save(path string) error { return ix.inner.Save(path) }
 
 // LoadSharded reads a sharded index from a file.
 func LoadSharded(path string) (*ShardedIndex, error) {
-	inner, err := shard.Load(path)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &ShardedIndex{inner: inner}, nil
+	return wrapSharded(shard.Load(path))
 }

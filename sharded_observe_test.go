@@ -1,6 +1,7 @@
 package vaq
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -67,6 +68,48 @@ func TestShardedResetMetrics(t *testing.T) {
 	}
 	if snap := sx.Metrics(); snap.Queries != 1 {
 		t.Errorf("post-reset traffic recorded %d queries, want 1", snap.Queries)
+	}
+}
+
+// TestLoadedShardedScatterTelemetry pins that a sharded index read back
+// from WriteTo keeps its scatter telemetry: the merged registry of the
+// loaded copy carries a Sharded snapshot whose critical-path attribution
+// covers every query, as on the built index.
+func TestLoadedShardedScatterTelemetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	data := genData(rng, 500, 16)
+	sx, err := BuildSharded(data, Config{NumSubspaces: 4, Budget: 24, Seed: 17, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadSharded(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 20
+	for _, ix := range []*ShardedIndex{sx, loaded} {
+		for qi := 0; qi < queries; qi++ {
+			if _, err := ix.Search(data[qi*7], 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, ix := range map[string]*ShardedIndex{"built": sx, "loaded": loaded} {
+		snap := ix.Metrics()
+		if snap.Sharded == nil {
+			t.Fatalf("%s: Metrics().Sharded is nil", name)
+		}
+		var sum uint64
+		for _, v := range snap.Sharded.CriticalPath {
+			sum += v
+		}
+		if snap.Queries != queries || sum != queries {
+			t.Errorf("%s: %d queries, critical path sums to %d, want %d each", name, snap.Queries, sum, queries)
+		}
 	}
 }
 

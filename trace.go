@@ -44,23 +44,30 @@ const (
 )
 
 // EnableTracing installs a fresh per-query tracer on the index and returns
-// it. The pooled Searchers behind Search/SearchWith and SearchBatch
-// workers pick it up on their next query, as do Searchers created
-// afterwards; each records one QueryTrace per query. Searchers created
+// it; every query then records one QueryTrace. On an Index, the pooled
+// Searchers behind Search/SearchWith and SearchBatch workers pick it up on
+// their next query, as do Searchers created afterwards; Searchers created
 // earlier with NewSearcher keep running untraced (re-point them with
-// Searcher.AttachTracer). Tracing costs a few clock reads and one
-// allocation per query; disabled, it costs one nil pointer check.
-func (ix *Index) EnableTracing(cfg TraceConfig) *Tracer {
-	return ix.inner.EnableTracing(cfg)
+// Searcher.AttachTracer). On a ShardedIndex, each search files one parent
+// QueryTrace whose spans carry a Shard id: per shard a SpanShardWait
+// (queue delay on the scatter worker pool) and a SpanShardScan (the
+// shard's whole search with its TI/EA/lookup attribution and final top-k
+// hits inline), one SpanBoundFeedback per cross-shard bound tightening
+// (crediting the prunes it enabled downstream), and a trailing
+// SpanShardMerge. Tracing costs a few clock reads and one allocation per
+// query; disabled, it costs one nil pointer check.
+func (ix *observed) EnableTracing(cfg TraceConfig) *Tracer {
+	return ix.att.EnableTracing(cfg)
 }
 
 // DisableTracing detaches the index tracer. The pooled Searchers behind
 // Search/SearchWith/SearchBatch stop recording on their next query;
-// Searchers from NewSearcher keep their recorders until re-pointed.
-func (ix *Index) DisableTracing() { ix.inner.DisableTracing() }
+// Searchers from NewSearcher keep their recorders until re-pointed, and
+// sharded queries already in flight may still file one last trace.
+func (ix *observed) DisableTracing() { ix.att.DisableTracing() }
 
 // Tracer returns the active tracer, or nil when tracing is disabled.
-func (ix *Index) Tracer() *Tracer { return ix.inner.Tracer() }
+func (ix *observed) Tracer() *Tracer { return ix.att.Tracer() }
 
 // AttachTracer re-points this Searcher at t (nil detaches). Searchers pick
 // up the index tracer at creation; long-lived ones built before

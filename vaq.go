@@ -38,7 +38,9 @@ import (
 
 	"vaq/internal/core"
 	"vaq/internal/milp"
+	"vaq/internal/observe"
 	"vaq/internal/vec"
+	"vaq/internal/workload"
 )
 
 // ErrNonFinite is returned (wrapped) by Search, SearchWith, SearchBatch
@@ -266,6 +268,27 @@ type SearchOptions struct {
 // Index is a built VAQ index over an encoded dataset.
 type Index struct {
 	inner *core.Index
+	observed
+}
+
+// observed carries the runtime-observer methods Index and ShardedIndex
+// share (tracing, workload capture and replay, the alert bus, the flight
+// recorder, the history collector), written once over the attachments
+// both internal index types embed.
+type observed struct {
+	att *observe.Attachments
+	src interface {
+		ConfigFingerprint() string
+		ReplayRunner() workload.RunFunc
+	}
+}
+
+// wrapIndex wraps a core index, or its error, for the public API.
+func wrapIndex(inner *core.Index, err error) (*Index, error) {
+	if err != nil {
+		return nil, fmt.Errorf("vaq: %w", err)
+	}
+	return &Index{inner: inner, observed: observed{&inner.Attachments, inner}}, nil
 }
 
 func (c Config) toCore() core.Config {
@@ -332,11 +355,7 @@ func BuildFlat(data []float32, n, d int, cfg Config) (*Index, error) {
 }
 
 func buildMatrices(train, data *vec.Matrix, cfg Config) (*Index, error) {
-	inner, err := core.Build(train, data, cfg.toCore())
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &Index{inner: inner}, nil
+	return wrapIndex(core.Build(train, data, cfg.toCore()))
 }
 
 // Len reports the number of encoded vectors.
@@ -354,15 +373,19 @@ func (ix *Index) Search(q []float32, k int) ([]Result, error) {
 // SearchWith returns the approximate k nearest neighbors under explicit
 // options.
 func (ix *Index) SearchWith(q []float32, k int, opt SearchOptions) ([]Result, error) {
-	res, err := ix.inner.SearchWith(q, k, core.SearchOptions{
-		Mode:      opt.Mode,
-		VisitFrac: opt.VisitFrac,
-		Subspaces: opt.Subspaces,
-	})
+	res, err := ix.inner.SearchWith(q, k, coreOptions(opt))
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
 	return toResults(res), nil
+}
+
+func coreOptions(opt SearchOptions) core.SearchOptions {
+	return core.SearchOptions{
+		Mode:      opt.Mode,
+		VisitFrac: opt.VisitFrac,
+		Subspaces: opt.Subspaces,
+	}
 }
 
 func toResults(res []vec.Neighbor) []Result {
@@ -445,11 +468,7 @@ func (ix *Index) NewSearcher() *Searcher {
 
 // Search runs one query through the reusable context.
 func (s *Searcher) Search(q []float32, k int, opt SearchOptions) ([]Result, error) {
-	res, err := s.inner.Search(q, k, core.SearchOptions{
-		Mode:      opt.Mode,
-		VisitFrac: opt.VisitFrac,
-		Subspaces: opt.Subspaces,
-	})
+	res, err := s.inner.Search(q, k, coreOptions(opt))
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}

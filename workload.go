@@ -54,26 +54,32 @@ func LoadWorkloadLog(path string) (*WorkloadLog, error) {
 // returns it. From the next query on, a deterministic sample of searches
 // (every round(1/SampleRate)-th, like the recall estimator) records its
 // query vector, options, results and latency into the buffer, bounded at
-// MaxRecords. Capture is off by default; when off the query path pays one
-// atomic pointer load, and sampling itself costs one atomic increment per
-// query plus a copy only on sampled ones. Safe to call while queries are
-// in flight.
-func (ix *Index) EnableCapture(cfg CaptureConfig) *WorkloadCapture {
-	return ix.inner.EnableCapture(cfg)
+// MaxRecords. On a ShardedIndex the recorded results are the merged
+// global result list — the scatter-gather ground truth — and the log's
+// provenance carries the sharded config fingerprint and the shard count,
+// so a replay can gate merge correctness across rebuilds with different
+// Shards values. Capture is off by default; when off the query path pays
+// one atomic pointer load, and sampling itself costs one atomic increment
+// per query plus a copy only on sampled ones. Safe to call while queries
+// are in flight.
+func (ix *observed) EnableCapture(cfg CaptureConfig) *WorkloadCapture {
+	return ix.att.EnableCapture(cfg)
 }
 
 // DisableCapture detaches the capture buffer; records already stored stay
 // readable through the WorkloadCapture EnableCapture returned.
-func (ix *Index) DisableCapture() { ix.inner.DisableCapture() }
+func (ix *observed) DisableCapture() { ix.att.DisableCapture() }
 
 // Capture returns the active workload capture, or nil when capture is off.
-func (ix *Index) Capture() *WorkloadCapture { return ix.inner.Capture() }
+func (ix *observed) Capture() *WorkloadCapture { return ix.att.Capture() }
 
 // ConfigFingerprint is a stable short hash of the search-relevant build
 // configuration (the same scheme vaqbench stamps into -json summaries).
 // Workload logs carry it so a replay can tell "same config rebuild" from
-// "different index".
-func (ix *Index) ConfigFingerprint() string { return ix.inner.ConfigFingerprint() }
+// "different index". A ShardedIndex with one shard has the unsharded
+// fingerprint (the degenerate case answers bit-identically); with more it
+// derives a sharded fingerprint from it.
+func (ix *observed) ConfigFingerprint() string { return ix.src.ConfigFingerprint() }
 
 // ReplayWorkload re-runs a captured workload log against this index and
 // diffs the answers against the recorded ones: overlap@k, result distance
@@ -81,8 +87,11 @@ func (ix *Index) ConfigFingerprint() string { return ix.inner.ConfigFingerprint(
 // reflect opt.Thresholds. Replaying a log against the index that captured
 // it (or a deterministic same-config rebuild) yields 100% overlap and zero
 // drift; a drop measures how far the new index diverges on real traffic.
-func (ix *Index) ReplayWorkload(l *WorkloadLog, opt ReplayOptions) (*ReplayReport, []ReplayQueryDiff, error) {
-	rep, diffs, err := workload.Replay(l, ix.inner.ReplayRunner(), opt)
+// On a ShardedIndex the replay runs through the scatter-gather path, so a
+// log captured on an unsharded index measures exactly how far sharded
+// merging diverges.
+func (ix *observed) ReplayWorkload(l *WorkloadLog, opt ReplayOptions) (*ReplayReport, []ReplayQueryDiff, error) {
+	rep, diffs, err := workload.Replay(l, ix.src.ReplayRunner(), opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("vaq: %w", err)
 	}
